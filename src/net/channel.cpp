@@ -7,6 +7,20 @@
 
 namespace iotml::net {
 
+namespace {
+
+/// Capped exponential backoff, the one schedule both retry policies share:
+/// retry k (0-based) waits min(base * 2^k, cap). The cap is clamped to at
+/// least the base, so a small cap cannot shrink the first wait, and a lossy
+/// wire is never hammered at a fixed cadence.
+double capped_backoff_s(double base_s, double cap_s, std::size_t retry) noexcept {
+  return std::min(
+      base_s * static_cast<double>(std::uint64_t{1} << std::min<std::size_t>(retry, 32)),
+      std::max(cap_s, base_s));
+}
+
+}  // namespace
+
 std::string channel_mode_name(ChannelMode mode) {
   switch (mode) {
     case ChannelMode::kFireAndForget: return "fire-and-forget";
@@ -36,48 +50,74 @@ std::size_t Channel::in_flight(double now_s) const {
 ChannelOutcome Channel::send(double now_s, std::size_t bytes, Rng& rng) {
   // Backpressure: prune finished sends, then refuse (dead-letter) when the
   // bounded queue is full — the caller decides whether to buffer or drop.
-  // Fire-and-forget has no queue to fill: the legacy sender blasts onto the
-  // medium without tracking outstanding sends, which is exactly its failure
-  // mode, so the bound applies only to the reliable mode.
+  // Fire-and-forget has no queue to fill: its sender blasts onto the medium
+  // without tracking outstanding sends, which is exactly its failure mode,
+  // so the bound applies only to the reliable mode.
   completion_s_.erase(
       std::remove_if(completion_s_.begin(), completion_s_.end(),
                      [now_s](double done) { return done <= now_s; }),
       completion_s_.end());
-  ChannelOutcome outcome;
   if (params_.mode == ChannelMode::kAckRetry &&
       completion_s_.size() >= params_.queue_capacity) {
     ++stats_.dead_letters;
     obs::registry().counter("net.channel.dead_letters").add();
-    return outcome;
+    return {};
   }
-  outcome.accepted = true;
   ++stats_.sends;
-
-  if (params_.mode == ChannelMode::kAckRetry) {
-    ChannelOutcome acked = send_ack_retry(now_s, bytes, rng);
-    acked.accepted = true;
-    completion_s_.push_back(link_->busy_until_s());
-    in_flight_highwater_ = std::max(in_flight_highwater_, completion_s_.size());
-    return acked;
-  }
-
-  // Fire-and-forget: the legacy link behaviour, byte-identical Rng draws.
-  // A corrupted frame is delivered on the wire but fails its checksum at
-  // the receiver — detected and rejected, never silently scored.
-  const Delivery d = link_->transmit(now_s, bytes, rng);
+  ChannelOutcome outcome = params_.mode == ChannelMode::kAckRetry
+                               ? send_ack_retry(now_s, bytes, rng)
+                               : send_fire_and_forget(now_s, bytes, rng);
+  outcome.accepted = true;
   completion_s_.push_back(link_->busy_until_s());
   in_flight_highwater_ = std::max(in_flight_highwater_, completion_s_.size());
-  outcome.attempts = 1 + d.retransmits;
-  outcome.delivered = d.delivered && !d.corrupted;
-  outcome.corrupted = d.delivered && d.corrupted;
-  outcome.arrival_s = d.arrival_s;
-  outcome.duplicated = d.duplicated;
-  outcome.duplicate_arrival_s = d.duplicate_arrival_s;
-  if (outcome.delivered) ++stats_.delivered;
-  if (outcome.corrupted) {
-    ++stats_.corrupt_rejected;
-    obs::registry().counter("net.channel.corrupt_rejected").add();
+  return outcome;
+}
+
+void Channel::draw_straggler(ChannelOutcome& outcome, double arrival_s, Rng& rng) {
+  const LinkParams& lp = link_->params();
+  if (lp.duplicate_prob > 0.0 && rng.bernoulli(lp.duplicate_prob)) {
+    // The receiver is expected to deduplicate the late copy by message id.
+    outcome.duplicated = true;
+    outcome.duplicate_arrival_s = arrival_s + lp.latency_s;
+    link_->record_duplicate();
   }
+}
+
+ChannelOutcome Channel::send_fire_and_forget(double now_s, std::size_t bytes, Rng& rng) {
+  ChannelOutcome outcome;
+  outcome.attempts = 1;
+  // Without acks the sender cannot tell a dead wire from a live one: its
+  // one attempt vanishes, and it never learns to retry.
+  if (!link_->up()) {
+    link_->record_drop();
+    return outcome;
+  }
+  const LinkParams& lp = link_->params();
+  double start_s = now_s;
+  for (std::size_t retry = 0;; ++retry) {
+    const Attempt wire = link_->try_transmit(start_s, bytes, rng);
+    if (wire.delivered) {
+      // A corrupt frame still consumes the delivery: the receiver's
+      // checksum rejects it, and nobody tells the sender.
+      link_->record_delivery(bytes);
+      outcome.arrival_s = wire.arrival_s;
+      outcome.delivered = !wire.corrupted;
+      outcome.corrupted = wire.corrupted;
+      if (outcome.delivered) {
+        ++stats_.delivered;
+      } else {
+        ++stats_.corrupt_rejected;
+        obs::registry().counter("net.channel.corrupt_rejected").add();
+      }
+      draw_straggler(outcome, wire.arrival_s, rng);
+      return outcome;
+    }
+    if (retry == lp.max_retries) break;
+    link_->record_retransmit();
+    ++outcome.attempts;
+    start_s = wire.done_s + capped_backoff_s(lp.retry_backoff_s, lp.retry_backoff_cap_s, retry);
+  }
+  link_->record_drop();
   return outcome;
 }
 
@@ -107,11 +147,7 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     if (wire.delivered && !wire.corrupted) {
       if (first_arrival_s < 0.0) {
         first_arrival_s = wire.arrival_s;
-        if (lp.duplicate_prob > 0.0 && rng.bernoulli(lp.duplicate_prob)) {
-          outcome.duplicated = true;
-          outcome.duplicate_arrival_s = wire.arrival_s + lp.latency_s;
-          link_->record_duplicate();
-        }
+        draw_straggler(outcome, wire.arrival_s, rng);
       } else {
         // A retransmit of a payload the receiver already holds (its ack was
         // lost): deduplicated on arrival, accounted as a link duplicate.
@@ -135,12 +171,10 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     ++stats_.timeouts;
     obs::registry().counter("net.channel.timeouts").add();
     if (attempt < params_.max_attempts) {
-      // Capped exponential backoff with deterministic seeded jitter: retry k
-      // waits min(base * 2^(k-1), cap) * (1 + uniform[0, jitter)).
-      double wait_s = std::min(
-          params_.backoff_base_s *
-              static_cast<double>(std::uint64_t{1} << std::min<std::size_t>(attempt - 1, 32)),
-          std::max(params_.backoff_cap_s, params_.backoff_base_s));
+      // Capped exponential backoff with deterministic seeded jitter on top:
+      // the wait is stretched by a factor in [1, 1 + jitter).
+      double wait_s =
+          capped_backoff_s(params_.backoff_base_s, params_.backoff_cap_s, attempt - 1);
       if (params_.backoff_jitter > 0.0) {
         wait_s *= 1.0 + rng.uniform(0.0, params_.backoff_jitter);
       }

@@ -11,7 +11,7 @@ namespace iotml::net {
 
 /// How a channel moves a payload across its link.
 enum class ChannelMode {
-  kFireAndForget,  ///< legacy: link-level retransmits, no acks, no queue redo
+  kFireAndForget,  ///< the link's own retry budget, no acks, no send queue
   kAckRetry        ///< stop-and-wait ack with exponential backoff + checksums
 };
 
@@ -42,29 +42,36 @@ struct ChannelStats {
   std::uint64_t corrupt_rejected = 0; ///< frames discarded on checksum mismatch
 };
 
-/// Outcome of one Channel::send, computed at send time like Link::transmit.
+/// Outcome of one Channel::send, computed at send time (the discrete-event
+/// scheduler turns arrival times into delivery events).
 struct ChannelOutcome {
   bool accepted = false;      ///< false: dead-lettered by backpressure
   bool delivered = false;     ///< payload reached the receiver intact
-  bool corrupted = false;     ///< delivered but checksum-rejected (FF mode only)
-  double arrival_s = 0.0;     ///< first intact arrival (delivered only)
+  bool corrupted = false;     ///< landed but checksum-rejected (FF mode only)
+  double arrival_s = 0.0;     ///< when the delivered (or corrupt) frame landed
   bool duplicated = false;    ///< link-level straggler copy exists
   double duplicate_arrival_s = 0.0;
   std::size_t attempts = 0;   ///< payload transmissions made
 };
 
-/// A reliable(-able) transport over one Link. In kFireAndForget mode it is a
-/// thin veneer over Link::transmit, preserving the legacy byte-identical
-/// behaviour. In kAckRetry mode the channel owns the retry policy: each
-/// payload attempt is a single wire try, the receiver checks the payload
-/// checksum and acks intact frames over the reverse path (modelled with the
-/// same loss probability), and the sender retransmits after a timeout with
-/// capped exponential backoff and deterministic seeded jitter. Corrupt
-/// frames are therefore *repaired* by ack mode and merely *detected* (and
-/// rejected) in fire-and-forget mode. A bounded in-flight queue applies
-/// backpressure: sends beyond `queue_capacity` are dead-lettered without
-/// touching the wire. All simulator traffic goes through this API — direct
-/// Link transmits outside src/net/ are banned by lint rule R8.
+/// The transport over one Link, and the one place a frame's retries are
+/// decided; the link itself only makes single wire attempts.
+///
+/// Both policies back off on one capped exponential schedule: retry k
+/// (0-based) waits min(base * 2^k, cap).
+///
+/// kFireAndForget retries a lost frame within the link's own budget
+/// (LinkParams::max_retries, retry_backoff_s, retry_backoff_cap_s) and
+/// never hears back: a frame that lands corrupt is delivered, then
+/// *detected* and rejected by the receiver's checksum.
+/// kAckRetry runs stop-and-wait: the receiver checks the payload checksum
+/// and acks intact frames over the reverse path (modelled with the same
+/// loss probability), and the sender retransmits after a timeout with
+/// capped exponential backoff and deterministic seeded jitter, so corrupt
+/// frames are *repaired*. Its bounded in-flight queue applies backpressure:
+/// sends beyond `queue_capacity` are dead-lettered without touching the
+/// wire. All simulator traffic goes through this API — wire attempts
+/// outside src/net/ are banned by lint rule R8.
 class Channel {
  public:
   /// Throws InvalidArgument unless max_attempts >= 1, queue_capacity >= 1,
@@ -95,7 +102,11 @@ class Channel {
   ChannelOutcome send(double now_s, std::size_t bytes, Rng& rng);
 
  private:
+  ChannelOutcome send_fire_and_forget(double now_s, std::size_t bytes, Rng& rng);
   ChannelOutcome send_ack_retry(double now_s, std::size_t bytes, Rng& rng);
+  /// Draw whether the frame that first landed at `arrival_s` also leaves a
+  /// straggler copy one propagation delay behind it.
+  void draw_straggler(ChannelOutcome& outcome, double arrival_s, Rng& rng);
 
   Link* link_;
   ChannelParams params_;

@@ -55,46 +55,4 @@ Attempt Link::try_transmit(double now_s, std::size_t bytes, Rng& rng) {
   return attempt;
 }
 
-Delivery Link::transmit(double now_s, std::size_t bytes, Rng& rng) {
-  Delivery delivery;
-  if (!up_) {
-    ++stats_.drops;
-    return delivery;
-  }
-  double start_s = now_s;
-  for (std::size_t attempt = 0; attempt <= params_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retransmits;
-      ++delivery.retransmits;
-    }
-    const Attempt wire = try_transmit(start_s, bytes, rng);
-    if (wire.delivered) {
-      delivery.delivered = true;
-      delivery.corrupted = wire.corrupted;
-      delivery.arrival_s = wire.arrival_s;
-      ++stats_.messages;
-      stats_.bytes += bytes;
-      if (params_.duplicate_prob > 0.0 && rng.bernoulli(params_.duplicate_prob)) {
-        // A straggler copy one extra propagation delay behind the original —
-        // the receiver is expected to deduplicate by message id.
-        delivery.duplicated = true;
-        delivery.duplicate_arrival_s = wire.arrival_s + params_.latency_s;
-        ++stats_.duplicates;
-      }
-      return delivery;
-    }
-    // Capped exponential backoff: retry k waits base * 2^k, never more than
-    // the cap (clamped to at least the base so a small cap cannot shrink the
-    // first wait) — a lossy wire must not be hammered at a fixed cadence.
-    const double cap_s = std::max(params_.retry_backoff_cap_s, params_.retry_backoff_s);
-    const double backoff_s = std::min(
-        params_.retry_backoff_s *
-            static_cast<double>(std::uint64_t{1} << std::min<std::size_t>(attempt, 32)),
-        cap_s);
-    start_s = wire.done_s + backoff_s;
-  }
-  ++stats_.drops;
-  return delivery;
-}
-
 }  // namespace iotml::net

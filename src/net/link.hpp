@@ -11,7 +11,9 @@ namespace iotml::net {
 /// Behavioural model of one lossy, bandwidth-limited link between tiers.
 /// All times are virtual-clock seconds — the fleet simulator never reads a
 /// wall clock (lint rule R6), so a link's timing is fully determined by its
-/// parameters, its traffic and the seeded Rng it is given.
+/// parameters, its traffic and the seeded Rng it is given. The retry fields
+/// are the link's own fire-and-forget retry budget, which net::Channel
+/// applies per link.
 struct LinkParams {
   double latency_s = 0.01;            ///< propagation delay per delivery
   double jitter_s = 0.0;              ///< uniform [0, jitter_s) extra delay
@@ -34,20 +36,9 @@ struct LinkStats {
   std::uint64_t retransmits = 0;  ///< retransmission attempts made
 };
 
-/// Outcome of one send, computed at transmit time (the discrete-event
-/// scheduler turns arrival times into delivery events).
-struct Delivery {
-  bool delivered = false;
-  bool corrupted = false;   ///< frame arrived but fails its payload checksum
-  bool duplicated = false;
-  double arrival_s = 0.0;
-  double duplicate_arrival_s = 0.0;
-  std::size_t retransmits = 0;
-};
-
-/// One wire attempt: the primitive the ack/retry Channel composes. The
-/// frame occupies the wire for its serialization time whether or not it
-/// survives; a delivered frame may still arrive corrupted.
+/// One wire attempt: the primitive both net::Channel retry policies
+/// compose. The frame occupies the wire for its serialization time whether
+/// or not it survives; a delivered frame may still arrive corrupted.
 struct Attempt {
   bool delivered = false;
   bool corrupted = false;
@@ -55,9 +46,11 @@ struct Attempt {
   double arrival_s = 0.0;  ///< meaningful only when delivered
 };
 
-/// One directed link. The wire is serial: a transmission starts no earlier
-/// than the previous one finished, so bandwidth contention shows up as
-/// queueing delay without any explicit queue object.
+/// One directed link: a single wire attempt at a time, its stats, its up/down
+/// state and the chaos overrides. The wire is serial: a transmission starts
+/// no earlier than the previous one finished, so bandwidth contention shows
+/// up as queueing delay without any explicit queue object. Retries live in
+/// net::Channel.
 class Link {
  public:
   /// Throws InvalidArgument unless bandwidth > 0, latency/jitter/backoff are
@@ -80,15 +73,6 @@ class Link {
   /// Time the wire frees up (for tests and queue-depth introspection).
   double busy_until_s() const noexcept { return busy_until_s_; }
 
-  /// Plan the delivery of `bytes` handed to the link at `now_s`. Applies
-  /// serialization time, queueing behind earlier transmissions, latency,
-  /// jitter, loss with bounded retransmits under capped exponential backoff
-  /// (retry k waits min(retry_backoff_s * 2^k, retry_backoff_cap_s)),
-  /// corruption, and duplication. A corrupted frame still consumes the
-  /// delivery — a fire-and-forget sender has no way to know the receiver
-  /// rejected it. Updates the link stats; deterministic given the Rng state.
-  Delivery transmit(double now_s, std::size_t bytes, Rng& rng);
-
   /// One wire attempt with no retry policy: serialize (queueing behind the
   /// busy wire), draw loss and corruption, land one latency (+jitter) later.
   /// Stats for messages/bytes/drops are NOT updated — the caller owns the
@@ -96,9 +80,8 @@ class Link {
   /// corrupted counter is bumped here because corruption is per-frame.
   Attempt try_transmit(double now_s, std::size_t bytes, Rng& rng);
 
-  /// Accounting hooks for composed transports (net::Channel): record the
-  /// final fate of a send so per-link stats stay truthful regardless of
-  /// which retry policy drove the wire.
+  /// Accounting hooks for net::Channel: record the final fate of a send so
+  /// per-link stats stay truthful whichever retry policy drove the wire.
   void record_delivery(std::size_t bytes) noexcept;
   void record_drop() noexcept { ++stats_.drops; }
   void record_retransmit() noexcept { ++stats_.retransmits; }

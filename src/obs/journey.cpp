@@ -27,6 +27,8 @@ const char* hop_stream_name(HopStream stream) noexcept {
       return "predictions";
     case HopStream::kPatch:
       return "patch";
+    case HopStream::kSummary:
+      return "summary";
   }
   return "?";
 }

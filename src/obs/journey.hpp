@@ -21,6 +21,7 @@ enum class HopStream : std::uint8_t {
   kArtifact,     ///< compiled model broadcast, core -> edge -> device
   kPredictions,  ///< on-device scores, device -> edge -> core
   kPatch,        ///< OTA delta-update chunks, core -> edge -> device
+  kSummary,      ///< degrade-ladder window summaries, edge -> core
 };
 
 const char* hop_kind_name(HopKind kind) noexcept;

@@ -8,76 +8,6 @@
 
 namespace iotml::obs {
 
-LogHistogram::LogHistogram() : LogHistogram(default_latency_bounds_s()) {}
-
-LogHistogram::LogHistogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1, 0) {
-  IOTML_CHECK(!bounds_.empty(), "LogHistogram: need at least one bucket bound");
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    IOTML_CHECK(bounds_[i - 1] < bounds_[i], "LogHistogram: bounds must be strictly increasing");
-  }
-}
-
-std::vector<double> LogHistogram::default_latency_bounds_s() {
-  std::vector<double> bounds;
-  bounds.reserve(20);
-  double edge = 1e-3;  // 1ms doubling: 0.001 .. 2^19ms ~ 9min
-  for (std::size_t i = 0; i < 20; ++i) {
-    bounds.push_back(edge);
-    edge *= 2.0;
-  }
-  return bounds;
-}
-
-void LogHistogram::record(double value) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-}
-
-double LogHistogram::mean() const noexcept {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double LogHistogram::quantile(double q) const {
-  IOTML_CHECK(q >= 0.0 && q <= 1.0, "LogHistogram::quantile: q outside [0, 1]");
-  if (count_ == 0) return 0.0;
-
-  const double lo_all = min_;
-  const double hi_all = max_;
-  const double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double next = cum + static_cast<double>(buckets_[i]);
-    if (next >= target) {
-      const double lower = i == 0 ? lo_all : std::max(lo_all, bounds_[i - 1]);
-      const double upper = i < bounds_.size() ? std::min(hi_all, bounds_[i]) : hi_all;
-      const double frac =
-          std::clamp((target - cum) / static_cast<double>(buckets_[i]), 0.0, 1.0);
-      return std::clamp(lower + (upper - lower) * frac, lo_all, hi_all);
-    }
-    cum = next;
-  }
-  return hi_all;
-}
-
-void LogHistogram::reset() noexcept {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 Sampler::Sampler(std::size_t capacity) : capacity_(capacity) {
   IOTML_CHECK(capacity_ >= 1, "Sampler: capacity must be at least 1");
   ring_.reserve(std::min<std::size_t>(capacity_, 64));

@@ -10,54 +10,6 @@
 
 namespace iotml::obs {
 
-/// Deterministic fixed-bucket histogram for virtual-time quantities. Same
-/// bucket semantics as obs::Histogram (bucket i counts values in
-/// (bounds[i-1], bounds[i]], implicit overflow bucket, interpolated
-/// quantiles clamped to the observed [min, max]) but with plain counters:
-/// recording is not thread-safe, summaries are byte-deterministic per seed,
-/// and the whole object is copyable so reports can embed it by value.
-/// Replaces unbounded per-sample vectors for per-tier latency — memory is
-/// O(buckets) no matter how many samples land.
-class LogHistogram {
- public:
-  /// Default bounds for virtual-second latencies: 1ms doubling up to ~9min.
-  LogHistogram();
-
-  /// Throws InvalidArgument unless `upper_bounds` is non-empty and strictly
-  /// increasing.
-  explicit LogHistogram(std::vector<double> upper_bounds);
-
-  /// `count` log-spaced bounds starting at 1ms, doubling: 0.001, 0.002, ...
-  static std::vector<double> default_latency_bounds_s();
-
-  void record(double value) noexcept;
-
-  std::uint64_t count() const noexcept { return count_; }
-  double sum() const noexcept { return count_ == 0 ? 0.0 : sum_; }
-  double mean() const noexcept;
-  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
-  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-
-  /// Interpolated q-quantile, q in [0, 1] — throws InvalidArgument
-  /// otherwise. Returns 0 when empty.
-  double quantile(double q) const;
-
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
-
-  /// Per-bucket counts; last entry is the overflow bucket.
-  const std::vector<std::uint64_t>& buckets() const noexcept { return buckets_; }
-
-  void reset() noexcept;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// One virtual-clock observation.
 struct Sample {
   double t_s = 0.0;

@@ -80,6 +80,45 @@ void add_reduce_stage(pipeline::Pipeline& full, std::size_t keep) {
   }, "core-operator", Tier::kCore);
 }
 
+/// The one labelling rule for send hops: refused by the queue ->
+/// dead_letter; landed corrupt -> corrupt; not delivered -> timeout under
+/// ack/retry, dropped under fire-and-forget; otherwise delivered.
+const char* send_label(const net::ChannelOutcome& out, net::ChannelMode mode) {
+  if (!out.accepted) return "dead_letter";
+  if (out.corrupted) return "corrupt";
+  if (!out.delivered) return mode == net::ChannelMode::kAckRetry ? "timeout" : "dropped";
+  return "delivered";
+}
+
+/// `rows` stably sorted by their timestamp column (column 0).
+data::Dataset time_ordered(const data::Dataset& rows) {
+  std::vector<std::size_t> order(rows.rows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const data::Column& ts = rows.column(0);
+  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
+    return ts.numeric(a) < ts.numeric(b);
+  });
+  return rows.select_rows(order);
+}
+
+/// `ds` without its timestamp column: the analytics label is a function of
+/// time inside the window, so a learner that sees the clock would learn a
+/// shortcut instead of the sensed world.
+data::Dataset sensor_features(const data::Dataset& ds) {
+  std::vector<std::size_t> cols;
+  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
+    if (ds.column(c).name() != "timestamp") cols.push_back(c);
+  }
+  return cols.empty() || cols.size() == ds.num_columns() ? ds : ds.select_columns(cols);
+}
+
+/// Degrade summaries number their traces in a range of their own (top bit
+/// set), so the ladder's choices never shift the trace ids of row,
+/// artifact, prediction and patch frames, which flight notes carry.
+std::uint64_t summary_trace(std::size_t index) {
+  return (std::uint64_t{1} << 63) | index;
+}
+
 }  // namespace
 
 pipeline::Pipeline default_fleet_pipeline(const FleetConfig& config) {
@@ -608,16 +647,9 @@ void FleetSim::handle_device_flush(const Event& event) {
     // rows lists this id in its parents, which is what lets fleetscope
     // reconstruct the device -> edge -> core journey after batching.
     out.parents = {next_trace_++};
+    journey_origin(out.parents.front(), obs::HopStream::kRows, d, event.time_s,
+                   out.row_count, 0);
     if (obsy_) {
-      obs::HopRecord origin;
-      origin.trace = out.parents.front();
-      origin.kind = obs::HopKind::kOrigin;
-      origin.src = d;
-      origin.dst = d;
-      origin.t0_s = event.time_s;
-      origin.t1_s = event.time_s;
-      origin.rows = out.row_count;
-      obsy_->journeys().record(std::move(origin));
       obsy_->flight().note(d, event.time_s, "flush", out.row_count);
       obsy_->series()
           .series("flush.rows", "fleet", "device")
@@ -719,13 +751,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   // Integration: merge the per-device chunks into one time-ordered record
   // stream (the §IV "ordered list of time-stamps" step, here across devices).
   const std::int64_t start_us = obs::now_us();
-  std::vector<std::size_t> order(buf.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const data::Column& ts = buf.rows.column(0);
-  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-    return ts.numeric(a) < ts.numeric(b);
-  });
-  data::Dataset merged = buf.rows.select_rows(order);
+  data::Dataset merged = time_ordered(buf.rows);
 
   StageReport integ;
   integ.stage_name = "integration";
@@ -1050,9 +1076,10 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
         .record(now_s, static_cast<double>(population));
   }
 
-  // Summary uplink: fixed-size, fire-and-forget semantics even on ack
-  // channels — a lost summary only costs observability, never rows, so the
-  // edge never burns a retry schedule on it when the wire is known dead.
+  // Summary uplink, fixed-size. A lost summary only costs observability,
+  // never rows, so an ack edge that knows its uplink (or the core) is dead
+  // skips it rather than burn a retry schedule; over a live ack channel it
+  // is retried like any frame.
   const std::size_t index = degrade_summaries_.size();
   degrade_summaries_.push_back({edge_index, level, wire_bytes,
                                 static_cast<std::uint64_t>(population), false});
@@ -1060,16 +1087,16 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
   d.summary_bytes += wire_bytes;
   const bool ack = config_.channel.mode == net::ChannelMode::kAckRetry;
   if (!(ack && (!topo_.node(topo_.core()).up || !topo_.uplink(e).up()))) {
-    const std::size_t link_index = topo_.uplink_index(e);
-    const net::ChannelOutcome out =
-        channels_[link_index].send(now_s, wire_bytes, link_rngs_[link_index]);
-    if (out.accepted && out.delivered && !out.corrupted) {
-      sched_.push(out.arrival_s, EventKind::kSummaryArrival, topo_.core(), index);
-      if (out.duplicated) {
-        sched_.push(out.duplicate_arrival_s, EventKind::kSummaryArrival,
-                    topo_.core(), index);
-      }
-    }
+    send_frame({.stream = obs::HopStream::kSummary,
+                .src = e,
+                .dst = topo_.core(),
+                .bytes = wire_bytes,
+                .rows = population,
+                .parents = buf.parents,
+                .arrival = EventKind::kSummaryArrival,
+                .message = index,
+                .trace = summary_trace(index)},
+               now_s);
   }
 
   // The window is answered: its rows leave the ledger as sampled-out, and
@@ -1080,8 +1107,11 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
 
 void FleetSim::handle_summary_arrival(const Event& event) {
   DegradeSummary& s = degrade_summaries_[event.message];
-  if (s.delivered) return;  // duplicated frame
-  if (!topo_.node(topo_.core()).up) return;  // nobody listening; summary dies
+  const bool listening = topo_.node(topo_.core()).up;
+  journey_arrive(summary_trace(event.message), obs::HopStream::kSummary, 0, topo_.core(),
+                 event.time_s, s.rows_represented,
+                 s.delivered ? "duplicate" : listening ? "accepted" : "dead_receiver");
+  if (s.delivered || !listening) return;  // duplicated frame, or the summary dies
   s.delivered = true;
   ++report_.degradation.summaries_delivered;
   if (obsy_) {
@@ -1170,7 +1200,6 @@ void FleetSim::finalize_degradation() {
 
 void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const std::size_t link_index = topo_.uplink_index(from);
-  net::Link& link = topo_.link(link_index);
   const net::NodeId to = topo_.next_hop(from);
   const std::size_t rows = chunk.row_count;
   const bool from_device = from < config_.devices;
@@ -1206,27 +1235,16 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   }
   msg.checksum = net::payload_checksum(msg.payload);
   const std::size_t bytes = net::wire_size_bytes(msg);
-
-  // One journey record per send, whatever its fate. Copies `parents` —
-  // keep_rows may still need to hand them back to a buffer.
-  auto record_send = [&](const char* outcome, double t1_s, std::uint32_t attempts) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = msg.trace.id;
-    r.hop = msg.trace.hop;
-    r.kind = obs::HopKind::kSend;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.rows = rows;
-    r.bytes = bytes;
-    r.attempts = attempts;
-    r.outcome = outcome;
-    r.parents = parents;
-    obsy_->journeys().record(std::move(r));
-    obsy_->flight().note(from, now_s, outcome, rows, bytes);
-  };
+  const Frame frame{.stream = obs::HopStream::kRows,
+                    .hop = msg.trace.hop,
+                    .src = from,
+                    .dst = to,
+                    .bytes = bytes,
+                    .rows = rows,
+                    .parents = parents,
+                    .message = messages_.size(),
+                    .corrupt_lands = true,
+                    .trace = msg.trace.id};
 
   // Put the rows back where they can survive after a failed reliable send:
   // a device store-and-forwards (or loses the window without a buffer), an
@@ -1261,13 +1279,17 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       buf.row_count += rows;
     }
   };
+  auto note_send = [&](const char* outcome) {
+    if (obsy_) obsy_->flight().note(from, now_s, outcome, rows, bytes);
+  };
 
   // A stop-and-wait sender cannot complete a handshake with a crashed
   // receiver: fail fast and keep the rows rather than burning the full
   // retry schedule into a dead node. Fire-and-forget cannot know — it
   // transmits and the frame dies at the receiver (see handle_arrival).
   if (ack && !topo_.node(to).up) {
-    record_send("receiver_down", 0.0, 0);
+    journey_send(frame, now_s, 0.0, 0, "receiver_down");
+    note_send("receiver_down");
     keep_rows(false);
     return;
   }
@@ -1282,8 +1304,8 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     tdf_pre_rejects = channels_[link_index].stats().corrupt_rejected;
     tdf_pre_retrans = channels_[link_index].stats().retransmits;
   }
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
+  const net::ChannelOutcome out = send_frame(frame, now_s);
+  note_send(send_label(out, config_.channel.mode));
   if (degrade_on()) {
     // Fold the post-send queue depth into the owning edge's congestion
     // hint; its controller reads (and resets) the max at its next update.
@@ -1302,12 +1324,13 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   ++report_.messages_sent;
   obs::registry().counter("sim.net.messages").add();
   obs::registry().counter("sim.net.bytes").add(bytes);
-  obs::registry().counter("net.link." + link.name() + ".bytes").add(bytes);
+  obs::registry()
+      .counter("net.link." + topo_.link(link_index).name() + ".bytes")
+      .add(bytes);
   if (!out.accepted) {
     // Backpressure: the bounded send queue refused the message.
     ++report_.messages_dropped;
     obs::registry().counter("sim.net.dropped").add();
-    record_send("dead_letter", 0.0, out.attempts);
     flight_dump(from, "dead-letter", now_s);
     if (degrade_on()) {
       ++degrade_dead_letters_[(from_device ? to : from) - config_.devices];
@@ -1334,7 +1357,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   if (!out.delivered && !out.corrupted) {
     ++report_.messages_dropped;
     obs::registry().counter("sim.net.dropped").add();
-    record_send(ack ? "timeout" : "dropped", 0.0, out.attempts);
     if (ack) {
       keep_rows(false);
     } else {
@@ -1342,33 +1364,43 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     }
     return;
   }
-  const std::size_t index = messages_.size();
-  msg.id = index;
+  // The frame landed (its arrival events are queued): store it for them.
+  msg.id = frame.message;
   if (out.corrupted) {
     // Fire-and-forget only: the frame lands, but the wire flipped bits, so
     // the stamped checksum no longer matches what the receiver recomputes.
-    record_send("corrupt", out.arrival_s, out.attempts);
     if (tdf_msg) {
       // Wire damage hits the frame bytes themselves; the FNV-1a32 trailer
       // no longer matches and the edge rejects without decoding a cell.
       msg.tdf_frame[msg.tdf_frame.size() / 2] ^= 0x10;
     }
     msg.checksum ^= 1;
-    messages_.push_back(std::move(msg));
-    msg_parents_.push_back(std::move(parents));
-    sched_.push(out.arrival_s, EventKind::kCorruptArrival, to, index);
-    if (out.duplicated) {
-      sched_.push(out.duplicate_arrival_s, EventKind::kCorruptArrival, to, index);
-    }
-    return;
   }
-  record_send("delivered", out.arrival_s, out.attempts);
   messages_.push_back(std::move(msg));
   msg_parents_.push_back(std::move(parents));
-  sched_.push(out.arrival_s, EventKind::kArrival, to, index);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kArrival, to, index);
+}
+
+net::ChannelOutcome FleetSim::send_frame(Frame frame, double now_s) {
+  if (frame.trace == 0) frame.trace = next_trace_++;
+  // Node ids grow device -> edge -> core, so a frame climbing the tree
+  // rides its sender's uplink and one descending rides its receiver's
+  // downlink.
+  const std::size_t link = frame.src < frame.dst ? topo_.uplink_index(frame.src)
+                                                 : topo_.downlink_index(frame.dst);
+  net::Channel& channel = channels_[link];
+  const net::ChannelOutcome out = channel.send(now_s, frame.bytes, link_rngs_[link]);
+  journey_send(frame, now_s, out.arrival_s, out.attempts, send_label(out, channel.mode()));
+
+  EventKind landed = frame.arrival;
+  if (!out.delivered) {
+    if (!out.corrupted || !frame.corrupt_lands) return out;
+    landed = EventKind::kCorruptArrival;
   }
+  sched_.push(out.arrival_s, landed, frame.dst, frame.message);
+  if (out.duplicated) {
+    sched_.push(out.duplicate_arrival_s, landed, frame.dst, frame.message);
+  }
+  return out;
 }
 
 void FleetSim::handle_arrival(const Event& event) {
@@ -1486,13 +1518,7 @@ void FleetSim::handle_corrupt_arrival(const Event& event) {
 void FleetSim::handle_checkpoint(std::size_t edge_index) {
   if (!topo_.node(topo_.edge(edge_index)).up) return;  // crashed edges can't persist
   const Buffer& buf = edge_buffers_[edge_index];
-  Buffer snap;
-  snap.rows = buf.rows;
-  snap.origin_s = buf.origin_s;
-  snap.row_count = buf.row_count;
-  snap.parents = buf.parents;
-  snap.strata = buf.strata;
-  edge_checkpoints_[edge_index] = std::move(snap);
+  edge_checkpoints_[edge_index] = buf;
   ++report_.faults.checkpoints_written;
   obs::registry().counter("sim.recovery.checkpoints_written").add();
   if (obsy_) {
@@ -1529,11 +1555,7 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   Buffer& buf = edge_buffers_[edge_index];
   IOTML_INTERNAL_CHECK(buf.row_count == 0,
                        "FleetSim: restart over a live edge buffer");
-  buf.rows = ckpt.rows;
-  buf.origin_s = ckpt.origin_s;
-  buf.row_count = ckpt.row_count;
-  buf.parents = ckpt.parents;
-  buf.strata = ckpt.strata;
+  buf = ckpt;
   ++report_.faults.checkpoints_restored;
   report_.faults.rows_recovered += ckpt.row_count;
   obs::registry().counter("sim.recovery.checkpoints_restored").add();
@@ -1673,6 +1695,42 @@ void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
   }
 }
 
+void FleetSim::journey_origin(std::uint64_t trace, obs::HopStream stream, net::NodeId node,
+                              double t_s, std::size_t rows, std::size_t bytes) {
+  if (!obsy_) return;
+  obs::HopRecord r;
+  r.trace = trace;
+  r.kind = obs::HopKind::kOrigin;
+  r.stream = stream;
+  r.src = node;
+  r.dst = node;
+  r.t0_s = t_s;
+  r.t1_s = t_s;
+  r.rows = rows;
+  r.bytes = bytes;
+  obsy_->journeys().record(std::move(r));
+}
+
+void FleetSim::journey_send(const Frame& frame, double t0_s, double t1_s,
+                            std::size_t attempts, const char* outcome) {
+  if (!obsy_) return;
+  obs::HopRecord r;
+  r.trace = frame.trace;
+  r.hop = frame.hop;
+  r.kind = obs::HopKind::kSend;
+  r.stream = frame.stream;
+  r.src = frame.src;
+  r.dst = frame.dst;
+  r.t0_s = t0_s;
+  r.t1_s = t1_s;
+  r.rows = frame.rows;
+  r.bytes = frame.bytes;
+  r.attempts = static_cast<std::uint32_t>(attempts);
+  r.outcome = outcome;
+  r.parents.assign(frame.parents.begin(), frame.parents.end());
+  obsy_->journeys().record(std::move(r));
+}
+
 void FleetSim::journey_arrive(std::uint64_t trace, obs::HopStream stream,
                               std::uint32_t hop, net::NodeId node, double t_s,
                               std::size_t rows, const char* outcome) {
@@ -1728,38 +1786,13 @@ void FleetSim::finalize() {
   }
   if (core_buffer_.row_count == 0) return;
 
-  std::vector<std::size_t> order(core_buffer_.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const data::Column& ts = core_buffer_.rows.column(0);
-  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-    return ts.numeric(a) < ts.numeric(b);
-  });
-  data::Dataset ds = core_buffer_.rows.select_rows(order);
-
-  std::vector<int> labels;
-  labels.reserve(ds.rows());
-  for (std::size_t r = 0; r < ds.rows(); ++r) {
-    labels.push_back(truth_label(ds.column(0).numeric(r)));
-  }
-  ds.set_labels(std::move(labels));
-
-  ds = tiers_.core.run(std::move(ds), core_rng_);
+  const data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
   for (const StageReport& r : tiers_.core.reports()) {
     report_.stage_reports.push_back(r);
   }
 
   const std::int64_t start_us = obs::now_us();
-  // Train on sensor features only: the label is a function of time inside
-  // this window, so keeping the timestamp column would let the tree learn a
-  // clock shortcut instead of the sensed world.
-  std::vector<std::size_t> feature_cols;
-  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
-    if (ds.column(c).name() != "timestamp") feature_cols.push_back(c);
-  }
-  const data::Dataset features =
-      feature_cols.empty() || feature_cols.size() == ds.num_columns()
-          ? ds
-          : ds.select_columns(feature_cols);
+  const data::Dataset features = sensor_features(ds);
   std::vector<std::size_t> train_idx;
   std::vector<std::size_t> test_idx;
   for (std::size_t i = 0; i < features.rows(); ++i) {
@@ -1791,6 +1824,17 @@ void FleetSim::finalize() {
   // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
   analytics.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
   report_.stage_reports.push_back(std::move(analytics));
+}
+
+data::Dataset FleetSim::labeled_core_rows() const {
+  data::Dataset ds = time_ordered(core_buffer_.rows);
+  std::vector<int> labels;
+  labels.reserve(ds.rows());
+  for (std::size_t r = 0; r < ds.rows(); ++r) {
+    labels.push_back(truth_label(ds.column(0).numeric(r)));
+  }
+  ds.set_labels(std::move(labels));
+  return ds;
 }
 
 int FleetSim::truth_label(double time_s) const {
@@ -1929,17 +1973,9 @@ void FleetSim::handle_deploy_broadcast(const Event& event) {
   // The broadcast's root trace id: every downlink frame of this epoch lists
   // it as parent, so fleetscope can reconstruct the artifact's journey.
   broadcast_trace_ = next_trace_++;
+  journey_origin(broadcast_trace_, obs::HopStream::kArtifact, topo_.core(), event.time_s,
+                 0, artifact_wire_bytes_);
   if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = broadcast_trace_;
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kArtifact;
-    origin.src = topo_.core();
-    origin.dst = topo_.core();
-    origin.t0_s = event.time_s;
-    origin.t1_s = event.time_s;
-    origin.bytes = artifact_wire_bytes_;
-    obsy_->journeys().record(std::move(origin));
     obsy_->flight().note(topo_.core(), event.time_s, "broadcast", config_.edges,
                          artifact_wire_bytes_);
   }
@@ -1949,46 +1985,23 @@ void FleetSim::handle_deploy_broadcast(const Event& event) {
 }
 
 void FleetSim::send_artifact(net::NodeId to, double now_s) {
-  const std::size_t link_index = topo_.downlink_index(to);
   // The sender's radio spends the bytes whether or not the wire delivers.
   report_.deploy.downlink_bytes += artifact_wire_bytes_;
   obs::registry().counter("deploy.artifact_sends").add();
   obs::registry().counter("deploy.downlink_bytes").add(artifact_wire_bytes_);
   const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, artifact_wire_bytes_, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_artifact_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = to >= config_.devices ? 0 : 1;  // core->edge, then edge->device
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kArtifact;
-    r.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.bytes = artifact_wire_bytes_;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {broadcast_trace_};
-    obsy_->journeys().record(std::move(r));
-  };
+      send_frame({.stream = obs::HopStream::kArtifact,
+                  .hop = to >= config_.devices ? 0U : 1U,  // core->edge, then edge->device
+                  .src = topo_.next_hop(to),
+                  .dst = to,
+                  .bytes = artifact_wire_bytes_,
+                  .parents = {&broadcast_trace_, 1},
+                  .arrival = EventKind::kArtifactArrival},
+                 now_s);
   if (out.corrupted) {
     // The artifact frame fails its checksum at the receiver, which keeps
     // its prior model rather than binding corrupt parameters.
     obs::registry().counter("deploy.artifact_corrupt_rejected").add();
-    record_artifact_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_artifact_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_artifact_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kArtifactArrival, to);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kArtifactArrival, to);
   }
 }
 
@@ -2081,65 +2094,33 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   batch.wire_bytes = net::kMessageHeaderBytes + 4 + (count + 7) / 8;
   pred_batches_.push_back(batch);
   pred_traces_.push_back(next_trace_++);
+  journey_origin(pred_traces_.back(), obs::HopStream::kPredictions, device, now_s, count,
+                 batch.wire_bytes);
   if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = pred_traces_.back();
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kPredictions;
-    origin.src = device;
-    origin.dst = device;
-    origin.t0_s = now_s;
-    origin.t1_s = now_s;
-    origin.rows = count;
-    origin.bytes = batch.wire_bytes;
-    obsy_->journeys().record(std::move(origin));
     obsy_->flight().note(device, now_s, stale ? "score-stale" : "score", count);
   }
   send_predictions(device, pred_batches_.size() - 1, now_s);
 }
 
 void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_s) {
-  const std::size_t link_index = topo_.uplink_index(from);
   const std::size_t bytes = pred_batches_[batch].wire_bytes;
-  const net::NodeId to = topo_.next_hop(from);
   report_.deploy.uplink_prediction_bytes += bytes;
   obs::registry().counter("deploy.prediction_bytes").add(bytes);
   const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_pred_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = from < config_.devices ? 0 : 1;
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPredictions;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.rows = pred_batches_[batch].rows;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {pred_traces_[batch]};
-    obsy_->journeys().record(std::move(r));
-  };
+      send_frame({.stream = obs::HopStream::kPredictions,
+                  .hop = from < config_.devices ? 0U : 1U,
+                  .src = from,
+                  .dst = topo_.next_hop(from),
+                  .bytes = bytes,
+                  .rows = pred_batches_[batch].rows,
+                  .parents = {&pred_traces_[batch], 1},
+                  .arrival = EventKind::kPredictionArrival,
+                  .message = batch},
+                 now_s);
   if (out.corrupted) {
     // A corrupt prediction batch is rejected at the receiver; predictions
     // are best-effort telemetry and are not retried in fire-and-forget mode.
     obs::registry().counter("deploy.prediction_corrupt_rejected").add();
-    record_pred_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_pred_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_pred_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kPredictionArrival, to, batch);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kPredictionArrival, to, batch);
   }
 }
 
@@ -2222,34 +2203,11 @@ void FleetSim::handle_ota_epoch(const Event& event) {
     return;
   }
 
-  // Retrain on everything the core has integrated so far, time-ordered and
-  // labeled the same way finalize() does. The timestamp column is dropped
-  // (same clock-shortcut reason); the full sensor schema is kept — no
-  // per-epoch MI reduction — so the artifact schema stays stable across
-  // epochs and consecutive images stay delta-friendly.
-  std::vector<std::size_t> order(core_buffer_.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  {
-    const data::Column& ts = core_buffer_.rows.column(0);
-    std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-      return ts.numeric(a) < ts.numeric(b);
-    });
-  }
-  data::Dataset ds = core_buffer_.rows.select_rows(order);
-  std::vector<int> labels;
-  labels.reserve(ds.rows());
-  for (std::size_t r = 0; r < ds.rows(); ++r) {
-    labels.push_back(truth_label(ds.column(0).numeric(r)));
-  }
-  ds.set_labels(std::move(labels));
-  std::vector<std::size_t> feature_cols;
-  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
-    if (ds.column(c).name() != "timestamp") feature_cols.push_back(c);
-  }
-  const data::Dataset train =
-      feature_cols.empty() || feature_cols.size() == ds.num_columns()
-          ? ds
-          : ds.select_columns(feature_cols);
+  // Retrain on everything the core has integrated so far, the way
+  // finalize() sees it. The full sensor schema is kept — no per-epoch MI
+  // reduction — so the artifact schema stays stable across epochs and
+  // consecutive images stay delta-friendly.
+  const data::Dataset train = sensor_features(labeled_core_rows());
   entry.train_rows = train.rows();
 
   deploy::CompiledModel model = compile_for(config_.deploy.model, train);
@@ -2310,17 +2268,9 @@ void FleetSim::handle_ota_epoch(const Event& event) {
   entry.version_id = ro.version_id;
 
   ro.trace = next_trace_++;
+  journey_origin(ro.trace, obs::HopStream::kPatch, topo_.core(), event.time_s, 0,
+                 ro.full.patch_bytes().size());
   if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = ro.trace;
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kPatch;
-    origin.src = topo_.core();
-    origin.dst = topo_.core();
-    origin.t0_s = event.time_s;
-    origin.t1_s = event.time_s;
-    origin.bytes = ro.full.patch_bytes().size();
-    obsy_->journeys().record(std::move(origin));
     obsy_->flight().note(topo_.core(), event.time_s, "ota-build", ro.version_id,
                          ro.image.size());
   }
@@ -2417,43 +2367,21 @@ void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
   obs::registry().counter("ota.chunk_sends").add();
   obs::registry().counter("ota.downlink_bytes").add(bytes);
 
-  const std::size_t link_index = topo_.downlink_index(to);
   const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = to >= config_.devices ? 0 : 1;  // core->edge, then edge->device
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPatch;
-    r.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {ro.trace};
-    obsy_->journeys().record(std::move(r));
-  };
+      send_frame({.stream = obs::HopStream::kPatch,
+                  .hop = to >= config_.devices ? 0U : 1U,  // core->edge, then edge->device
+                  .src = topo_.next_hop(to),
+                  .dst = to,
+                  .bytes = bytes,
+                  .parents = {&ro.trace, 1},
+                  .arrival = EventKind::kOtaChunkArrival,
+                  .message = record},
+                 now_s);
   if (out.corrupted) {
     // The chunk fails its FNV check at the receiver and is discarded; the
     // resume round re-requests it.
     ++ota.chunks_corrupt_rejected;
     obs::registry().counter("ota.chunk_corrupt_rejected").add();
-    record_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kOtaChunkArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaChunkArrival, to, record);
   }
 }
 
@@ -2583,36 +2511,17 @@ void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
   ota.probe_uplink_bytes += bytes;
   obs::registry().counter("ota.probe_uplink_bytes").add(bytes);
 
-  const std::size_t link_index = topo_.uplink_index(from);
-  const net::NodeId to = topo_.next_hop(from);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = from < config_.devices ? 0 : 1;  // device->edge, then edge->core
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPatch;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = out.delivered ? out.arrival_s : 0.0;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    // A lost probe is tolerated, not retried: the verdict pools whatever
-    // reports made it.
-    r.outcome = out.corrupted                        ? "corrupt"
-                : (!out.accepted || !out.delivered) ? "dropped"
-                                                     : "delivered";
-    r.parents = {ro.trace};
-    obsy_->journeys().record(std::move(r));
-  }
-  if (out.corrupted || !out.accepted || !out.delivered) return;
-  sched_.push(out.arrival_s, EventKind::kOtaReportArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaReportArrival, to, record);
-  }
+  // A lost probe is tolerated, not retried: the verdict pools whatever
+  // reports made it.
+  send_frame({.stream = obs::HopStream::kPatch,
+              .hop = from < config_.devices ? 0U : 1U,  // device->edge, then edge->core
+              .src = from,
+              .dst = topo_.next_hop(from),
+              .bytes = bytes,
+              .parents = {&ro.trace, 1},
+              .arrival = EventKind::kOtaReportArrival,
+              .message = record},
+             now_s);
 }
 
 void FleetSim::handle_ota_report_arrival(const Event& event) {
@@ -2787,36 +2696,17 @@ void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
   ota.delta_downlink_bytes += bytes;
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
 
-  const std::size_t link_index = topo_.downlink_index(to);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord rec;
-    rec.trace = frame_trace;
-    rec.hop = to >= config_.devices ? 0 : 1;
-    rec.kind = obs::HopKind::kSend;
-    rec.stream = obs::HopStream::kPatch;
-    rec.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    rec.dst = to;
-    rec.t0_s = now_s;
-    rec.t1_s = out.delivered ? out.arrival_s : 0.0;
-    rec.bytes = bytes;
-    rec.attempts = out.attempts;
-    // A lost rollback command is visible, not fatal: the device stays on
-    // the rolled-back version and the end-of-run histogram exposes it.
-    rec.outcome = out.corrupted                        ? "corrupt"
-                  : (!out.accepted || !out.delivered) ? "dropped"
-                                                       : "delivered";
-    rec.parents = {ro.trace};
-    obsy_->journeys().record(std::move(rec));
-  }
-  if (out.corrupted || !out.accepted || !out.delivered) return;
-  sched_.push(out.arrival_s, EventKind::kOtaControlArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaControlArrival, to,
-                record);
-  }
+  // A lost rollback command is visible, not fatal: the device stays on the
+  // rolled-back version and the end-of-run histogram exposes it.
+  send_frame({.stream = obs::HopStream::kPatch,
+              .hop = to >= config_.devices ? 0U : 1U,
+              .src = topo_.next_hop(to),
+              .dst = to,
+              .bytes = bytes,
+              .parents = {&ro.trace, 1},
+              .arrival = EventKind::kOtaControlArrival,
+              .message = record},
+             now_s);
 }
 
 void FleetSim::handle_ota_control_arrival(const Event& event) {

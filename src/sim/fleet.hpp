@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -15,10 +16,11 @@
 #include "deploy/compiled_model.hpp"
 #include "deploy/runtime.hpp"
 #include "net/channel.hpp"
-#include "obs/observatory.hpp"
 #include "net/faults.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
 #include "ota/rollout.hpp"
 #include "ota/transfer.hpp"
 #include "ota/version.hpp"
@@ -288,6 +290,30 @@ class FleetSim {
   void send(net::NodeId from, Buffer&& chunk, double now_s);
   void finalize();
   int truth_label(double time_s) const;
+  /// The core buffer in time order, each row labeled with the analytics
+  /// concept: where the final fit and every OTA retrain start.
+  data::Dataset labeled_core_rows() const;
+
+  /// One frame handed to send_frame: the hop it crosses, its size and
+  /// journey context, and the event each landed copy schedules.
+  struct Frame {
+    obs::HopStream stream = obs::HopStream::kRows;
+    std::uint32_t hop = 0;  ///< journey hop index (0 = first wire hop)
+    net::NodeId src = 0;
+    net::NodeId dst = 0;    ///< a tree neighbour of src, either direction
+    std::size_t bytes = 0;
+    std::size_t rows = 0;
+    std::span<const std::uint64_t> parents;  ///< journey provenance
+    EventKind arrival = EventKind::kArrival;
+    std::size_t message = kNoMessage;  ///< payload index the arrivals carry
+    bool corrupt_lands = false;  ///< corrupt copies arrive as kCorruptArrival
+    std::uint64_t trace = 0;     ///< 0: send_frame takes the next trace id
+  };
+  /// Every frame any node sends crosses its link here: the channel send,
+  /// the frame's trace id, its send-hop journey record under the one
+  /// labelling rule, and the arrival (and straggler-copy) events of
+  /// whatever lands. The caller keeps its own ledgers and counters.
+  net::ChannelOutcome send_frame(Frame frame, double now_s);
 
   // Fault-tolerance machinery (see DESIGN.md §11).
   void handle_checkpoint(std::size_t edge_index);
@@ -374,6 +400,10 @@ class FleetSim {
   void finalize_degradation();
 
   // Observatory wiring (all no-ops when obsy_ is empty; see DESIGN.md §13).
+  void journey_origin(std::uint64_t trace, obs::HopStream stream, net::NodeId node,
+                      double t_s, std::size_t rows, std::size_t bytes);
+  void journey_send(const Frame& frame, double t0_s, double t1_s, std::size_t attempts,
+                    const char* outcome);
   void journey_arrive(std::uint64_t trace, obs::HopStream stream, std::uint32_t hop,
                       net::NodeId node, double t_s, std::size_t rows,
                       const char* outcome);
@@ -410,11 +440,11 @@ class FleetSim {
   // det-sanctioned: membership-only dedup set per node, never iterated
   std::vector<std::unordered_set<std::uint64_t>> seen_;
 
-  /// Per-tier virtual-latency distributions at fixed memory — the
-  /// observatory's replacement for an unbounded per-sample vector.
-  obs::LogHistogram lat_device_edge_;
-  obs::LogHistogram lat_edge_core_;
-  obs::LogHistogram lat_end_to_end_;
+  /// Per-tier virtual-latency distributions at fixed memory: 1 ms
+  /// doubling to ~9 min, quantiles clamped to the observed range.
+  obs::Histogram lat_device_edge_{obs::Histogram::exponential_bounds(1e-3, 2.0, 20)};
+  obs::Histogram lat_edge_core_{obs::Histogram::exponential_bounds(1e-3, 2.0, 20)};
+  obs::Histogram lat_end_to_end_{obs::Histogram::exponential_bounds(1e-3, 2.0, 20)};
 
   /// Monotone trace-id source for origin windows, wire frames and deploy
   /// broadcasts. Plain counter, never an RNG draw: ids are deterministic

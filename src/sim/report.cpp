@@ -25,21 +25,21 @@ LatencySummary LatencySummary::from_samples(std::vector<double> samples) {
   return s;
 }
 
-LatencySummary LatencySummary::from_histogram(const obs::LogHistogram& hist) {
+LatencySummary LatencySummary::from_histogram(const obs::Histogram& hist) {
   LatencySummary s;
   s.count = hist.count();
   s.mean_s = hist.mean();
-  s.p50_s = hist.quantile(0.50);
-  s.p95_s = hist.quantile(0.95);
+  s.p50_s = hist.percentile(0.50);
+  s.p95_s = hist.percentile(0.95);
   s.max_s = hist.max();
   return s;
 }
 
-LatencyBreakdown LatencyBreakdown::from_histogram(const obs::LogHistogram& hist) {
+LatencyBreakdown LatencyBreakdown::from_histogram(const obs::Histogram& hist) {
   LatencyBreakdown b;
   b.summary = LatencySummary::from_histogram(hist);
   b.bounds_s = hist.bounds();
-  b.counts = hist.buckets();
+  b.counts = hist.bucket_counts();
   return b;
 }
 

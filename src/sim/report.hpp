@@ -8,7 +8,7 @@
 
 #include "net/channel.hpp"
 #include "net/link.hpp"
-#include "obs/timeseries.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/stage.hpp"
 
 namespace iotml::sim {
@@ -32,8 +32,8 @@ struct LatencySummary {
   static LatencySummary from_samples(std::vector<double> samples);
 
   /// Interpolated percentiles from a fixed-bucket histogram — the O(buckets)
-  /// replacement for keeping every sample (see obs::LogHistogram).
-  static LatencySummary from_histogram(const obs::LogHistogram& hist);
+  /// replacement for keeping every sample.
+  static LatencySummary from_histogram(const obs::Histogram& hist);
 };
 
 /// Per-tier latency distribution: the summary plus the log-scale bucket
@@ -45,7 +45,7 @@ struct LatencyBreakdown {
   std::vector<double> bounds_s;
   std::vector<std::uint64_t> counts;
 
-  static LatencyBreakdown from_histogram(const obs::LogHistogram& hist);
+  static LatencyBreakdown from_histogram(const obs::Histogram& hist);
 };
 
 /// Per-stage aggregate over every StageReport a fleet run produced, keyed

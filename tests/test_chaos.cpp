@@ -20,12 +20,13 @@
 namespace iotml::sim {
 namespace {
 
-// ---- Legacy Link backoff (fire-and-forget retries) ---------------------------
+// ---- Link backoff (fire-and-forget retries) ----------------------------------
 
-// The non-ack transmit path must back off exponentially between retries: the
-// incremental wire-busy time contributed by each additional retry grows with
-// the attempt index until the cap bites. Total-loss links make the schedule
-// observable through busy_until_s without any probabilistic slack.
+// A fire-and-forget channel must back off exponentially between the link's
+// retries: the incremental wire-busy time contributed by each additional
+// retry grows with the attempt index until the cap bites. Total-loss links
+// make the schedule observable through busy_until_s without any
+// probabilistic slack.
 TEST(LinkBackoff, RetryDelayGrowsPerAttempt) {
   net::LinkParams params;
   params.latency_s = 0.0;
@@ -39,10 +40,11 @@ TEST(LinkBackoff, RetryDelayGrowsPerAttempt) {
   for (std::size_t retries = 0; retries <= 4; ++retries) {
     params.max_retries = retries;
     net::Link link("l", params);
+    net::Channel channel(link, {});
     Rng rng(7);
-    const net::Delivery d = link.transmit(0.0, 1000, rng);
+    const net::ChannelOutcome d = channel.send(0.0, 1000, rng);
     EXPECT_FALSE(d.delivered);
-    EXPECT_EQ(d.retransmits, retries);
+    EXPECT_EQ(d.attempts, retries + 1);
     busy.push_back(link.busy_until_s());
   }
   // Retry k adds one serialization time plus min(base * 2^(k-1), cap) of
@@ -68,8 +70,9 @@ TEST(LinkBackoff, CapBoundsTheWait) {
   params.retry_backoff_cap_s = 0.25;
 
   net::Link link("l", params);
+  net::Channel channel(link, {});
   Rng rng(7);
-  link.transmit(0.0, 1000, rng);
+  channel.send(0.0, 1000, rng);
   // 7 serializations + backoffs 0.1, 0.2 then 0.25 four times (capped).
   EXPECT_NEAR(link.busy_until_s(), 7.0 + 0.1 + 0.2 + 4 * 0.25, 1e-9);
 }
@@ -90,9 +93,12 @@ TEST(Channel, RepairsLossTheLinkWouldDrop) {
   const std::size_t sends = 200;
   {
     net::Link link("l", lossy);
+    net::Channel fire_and_forget(link, {});
     Rng rng(11);
     for (std::size_t i = 0; i < sends; ++i) {
-      if (link.transmit(static_cast<double>(i) * 10.0, 100, rng).delivered) ++link_delivered;
+      if (fire_and_forget.send(static_cast<double>(i) * 10.0, 100, rng).delivered) {
+        ++link_delivered;
+      }
     }
   }
   {

@@ -316,42 +316,16 @@ TEST(ObsRegistry, ConcurrentSpansAgainstOneCollector) {
 
 // ---- Virtual-time series --------------------------------------------------
 
-TEST(ObsTimeSeries, LogHistogramQuantilesMatchHistogramSemantics) {
-  obs::LogHistogram h({1.0, 2.0, 4.0, 8.0});
-  for (int i = 0; i < 90; ++i) h.record(1.5);
-  for (int i = 0; i < 10; ++i) h.record(6.0);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.mean(), (90 * 1.5 + 10 * 6.0) / 100.0, 1e-12);
-  EXPECT_LT(h.quantile(0.5), 2.0);
-  EXPECT_GT(h.quantile(0.95), 4.0);
-  EXPECT_NEAR(h.quantile(1.0), 6.0, 1e-12);
-  EXPECT_NEAR(h.quantile(0.0), 1.5, 0.51);
-  // Point mass clamps to the observed value exactly, like obs::Histogram.
-  obs::LogHistogram point({1.0, 1000.0});
-  for (int i = 0; i < 50; ++i) point.record(7.0);
-  EXPECT_NEAR(point.quantile(0.5), 7.0, 1e-12);
-  EXPECT_NEAR(point.quantile(0.99), 7.0, 1e-12);
-}
-
-TEST(ObsTimeSeries, LogHistogramRejectsBadArguments) {
-  EXPECT_THROW(obs::LogHistogram(std::vector<double>{}), InvalidArgument);
-  EXPECT_THROW(obs::LogHistogram({2.0, 1.0}), InvalidArgument);
-  EXPECT_THROW(obs::LogHistogram({1.0, 1.0}), InvalidArgument);
-  obs::LogHistogram h({1.0});
-  EXPECT_THROW(h.quantile(-0.1), InvalidArgument);
-  EXPECT_THROW(h.quantile(1.1), InvalidArgument);
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
-}
-
 TEST(ObsTimeSeries, DefaultLatencyBoundsDoubleFromOneMs) {
-  obs::LogHistogram h;
-  const auto& bounds = h.bounds();
-  ASSERT_GE(bounds.size(), 2u);
+  // The fleet's per-tier virtual-latency shape: 1 ms doubling, plus overflow.
+  const obs::Histogram latency(obs::Histogram::exponential_bounds(1e-3, 2.0, 20));
+  const auto& bounds = latency.bounds();
+  ASSERT_EQ(bounds.size(), 20u);
   EXPECT_DOUBLE_EQ(bounds[0], 0.001);
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(bounds[i], bounds[i - 1] * 2.0);
   }
-  EXPECT_EQ(h.buckets().size(), bounds.size() + 1);  // + overflow
+  EXPECT_EQ(latency.bucket_counts().size(), bounds.size() + 1);  // + overflow
 }
 
 TEST(ObsTimeSeries, SamplerRingOverwritesOldestAndKeepsTotal) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -7,6 +12,7 @@
 #include "sim/placement.hpp"
 #include "sim/scheduler.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::sim {
 namespace {
@@ -125,6 +131,15 @@ TEST(Fleet, ObservatoryDoesNotPerturbTheRun) {
   ASSERT_NE(on.observatory(), nullptr);
 }
 
+// A send hop may report zero wire attempts only when the frame never
+// reached the wire: refused by the queue, failed fast at a dead receiver, or
+// (ack mode) timed out on a link that was down.
+bool zero_attempts_allowed(const obs::HopRecord& rec, bool ack) {
+  const std::string outcome = rec.outcome;
+  return outcome == "dead_letter" || outcome == "receiver_down" ||
+         (ack && outcome == "timeout");
+}
+
 TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
   FleetConfig config = small_config();
   config.observatory.enabled = true;
@@ -149,7 +164,9 @@ TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
         std::string(rec.outcome) == "accepted") {
       ++accepted_at_core;
     }
-    if (rec.kind == obs::HopKind::kSend) EXPECT_GE(rec.attempts, 0u);
+    if (rec.kind == obs::HopKind::kSend && rec.attempts == 0) {
+      EXPECT_TRUE(zero_attempts_allowed(rec, /*ack=*/false)) << rec.outcome;
+    }
   }
   EXPECT_GT(origins, 0u);
   // Every flushed window gets an origin record; flushed rows can exceed the
@@ -309,6 +326,302 @@ TEST(Fleet, Validation) {
   FleetConfig bad_flush = small_config();
   bad_flush.device_flush_s = 0.0;
   EXPECT_THROW(FleetSim{bad_flush}, InvalidArgument);
+}
+
+// ---- Send-hop labels ---------------------------------------------------------
+
+// Fire-and-forget OTA under a corruption storm, with deploy on so the
+// artifact and prediction streams run too. Every canary verdict rolls back
+// (no candidate can beat the running model by a whole accuracy point), so
+// rollback commands cross the storm-corrupted edge->device links.
+FleetConfig storm_ota_config() {
+  FleetConfig c;
+  c.devices = 12;
+  c.edges = 2;
+  c.duration_s = 24.0;
+  c.seed = 1;
+  c.device_flush_s = 2.0;
+  c.edge_flush_s = 3.0;
+  c.ota.enabled = true;
+  c.ota.canary_fraction = 0.5;
+  c.ota.regression_tolerance = -1.0;
+  c.deploy.enabled = true;
+  c.chaos.corruption_storms = 3.0;
+  c.chaos.storm_mean_s = 6.0;
+  c.chaos.storm_corrupt_prob = 0.4;
+  c.observatory.enabled = true;
+  return c;
+}
+
+// Ack mode with a two-deep send queue: the canary cohort's one-chunk
+// patches and the rollback commands leave the core in bursts and overflow
+// it. A partition holds edge batches until the checkpoint lag escalates the
+// ladder to summaries.
+FleetConfig tiny_queue_config() {
+  FleetConfig c = storm_ota_config();
+  c.chaos = {};
+  c.chaos.partitions = 1.0;
+  c.chaos.partition_mean_s = 6.0;
+  c.channel.mode = net::ChannelMode::kAckRetry;
+  c.channel.queue_capacity = 2;
+  c.ota.chunk_bytes = 4096;
+  c.checkpoint_interval_s = 4.0;
+  c.degrade.enabled = true;
+  c.degrade.checkpoint_lag_rows = 40;
+  return c;
+}
+
+// One rule labels every send hop, whatever its stream: refused by the queue
+// -> dead_letter; corrupt -> corrupt, stamped with its arrival time; not
+// delivered -> timeout (ack) or dropped (fire-and-forget); else delivered.
+TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
+  std::set<std::string> streams;
+  for (const bool ack : {false, true}) {
+    FleetSim fleet(ack ? tiny_queue_config() : storm_ota_config());
+    const FleetReport r = fleet.run();
+    ASSERT_NE(fleet.observatory(), nullptr);
+    const std::set<std::string> labels =
+        ack ? std::set<std::string>{"delivered", "timeout", "dead_letter", "receiver_down"}
+            : std::set<std::string>{"delivered", "dropped", "corrupt"};
+    std::uint64_t dead_letters = 0;
+    std::uint64_t corrupt = 0;
+    std::size_t patch_dead_letters = 0;
+    std::size_t patch_corrupt = 0;
+    for (const obs::HopRecord& rec : fleet.observatory()->journeys().snapshot()) {
+      streams.insert(obs::hop_stream_name(rec.stream));
+      if (rec.kind != obs::HopKind::kSend) continue;
+      const std::string outcome = rec.outcome;
+      const bool patch = rec.stream == obs::HopStream::kPatch;
+      EXPECT_EQ(labels.count(outcome), 1u) << outcome;
+      if (rec.attempts == 0) {
+        EXPECT_TRUE(zero_attempts_allowed(rec, ack)) << outcome;
+      }
+      if (outcome == "dead_letter") {
+        ++dead_letters;
+        if (patch) ++patch_dead_letters;
+      }
+      if (outcome == "corrupt") {
+        ++corrupt;
+        if (patch) ++patch_corrupt;
+        EXPECT_GT(rec.t1_s, rec.t0_s) << "corrupt hop without its arrival time";
+      }
+    }
+    // Every refused send reads dead_letter, on every stream.
+    EXPECT_EQ(dead_letters, r.channels.dead_letters);
+    if (ack) {
+      EXPECT_GT(patch_dead_letters, 0u);
+    } else {
+      // Fire-and-forget rejects each corrupt frame exactly once.
+      EXPECT_EQ(corrupt, r.channels.corrupt_rejected);
+      EXPECT_GT(patch_corrupt, 0u);
+    }
+  }
+  for (const char* stream : {"rows", "artifact", "predictions", "patch", "summary"}) {
+    EXPECT_EQ(streams.count(stream), 1u) << stream;
+  }
+}
+
+// ---- Byte-identity digest grid ---------------------------------------------
+
+// Small fleets that between them cross every send site (rows, degrade
+// summaries, deploy artifacts and predictions, OTA chunks, probe reports
+// and rollback commands) in both channel modes. Each case pins the
+// FNV-1a-64 digests of its event log and FleetReport JSON in
+// golden/fleet_digest_grid.txt, so a change to the transport or the
+// simulator that moves one byte of either fails here. Regenerate with
+// IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour change.
+struct GridCase {
+  std::string name;
+  FleetConfig config;
+  /// The send path the case exists for must actually run, or its pinned
+  /// digests guard nothing.
+  bool (*exercised)(const FleetReport&);
+};
+
+FleetConfig grid_fleet(std::uint64_t seed, bool observatory) {
+  FleetConfig c;
+  c.devices = 12;
+  c.edges = 2;
+  c.duration_s = 16.0;
+  c.seed = seed;
+  c.observatory.enabled = observatory;
+  return c;
+}
+
+void grid_ack(FleetConfig& c) {
+  c.channel.mode = net::ChannelMode::kAckRetry;
+  c.channel.ack_timeout_s = 0.1;
+  c.channel.max_attempts = 5;
+}
+
+void grid_chaos(FleetConfig& c) {
+  c.checkpoint_interval_s = 2.0;
+  c.device_buffer_rows = 4096;
+  c.chaos.partitions = 1.0;
+  c.chaos.partition_mean_s = 4.0;
+  c.chaos.loss_bursts = 1.0;
+  c.chaos.burst_mean_s = 3.0;
+  c.chaos.corruption_storms = 1.0;
+  c.chaos.storm_mean_s = 3.0;
+}
+
+FleetConfig grid_ota(std::uint64_t seed, bool observatory) {
+  FleetConfig c = grid_fleet(seed, observatory);
+  c.duration_s = 24.0;
+  c.device_flush_s = 2.0;
+  c.edge_flush_s = 3.0;
+  c.ota.enabled = true;
+  c.ota.canary_fraction = 0.5;
+  return c;
+}
+
+FleetConfig grid_degrade(int pin, bool ack, bool observatory) {
+  FleetConfig c = grid_fleet(300 + static_cast<std::uint64_t>(pin), observatory);
+  c.duration_s = 24.0;
+  if (ack) grid_ack(c);
+  grid_chaos(c);
+  c.degrade.enabled = true;
+  c.degrade.pin_level = pin;
+  return c;
+}
+
+std::vector<GridCase> digest_grid() {
+  std::vector<GridCase> grid;
+  {
+    FleetConfig c = grid_fleet(106, true);
+    c.faults.link_outages = 1.0;
+    c.faults.device_churns = 1.0;
+    c.chaos.loss_bursts = 1.0;
+    c.chaos.corruption_storms = 2.0;
+    c.chaos.storm_mean_s = 4.0;
+    c.chaos.storm_corrupt_prob = 0.2;
+    grid.push_back({"ff-rows", c, [](const FleetReport& r) {
+                      return r.rows_lost > 0 && r.faults.rows_corrupt_rejected > 0;
+                    }});
+  }
+  {
+    FleetConfig c = grid_fleet(102, false);
+    grid_ack(c);
+    grid_chaos(c);
+    c.telemetry.enabled = true;
+    c.faults.device_churns = 3.0;
+    c.faults.device_offtime_mean_s = 3.0;
+    c.faults.edge_crashes = 1.0;
+    grid.push_back({"ack-telemetry-sf-churn", c, [](const FleetReport& r) {
+                      return r.telemetry.frames_sent > 0 && r.channels.retransmits > 0 &&
+                             r.faults.checkpoints_written > 0 && r.rows_skipped == 0;
+                    }});
+  }
+  for (const bool ack : {false, true}) {
+    FleetConfig c = grid_fleet(ack ? 104 : 103, !ack);
+    if (ack) grid_ack(c);
+    c.deploy.enabled = true;
+    c.deploy.stale_fallback = true;
+    c.chaos.crash_during_broadcast = true;
+    grid.push_back({ack ? "deploy-stale-crash-ack" : "deploy-stale-crash-ff", c,
+                    [](const FleetReport& r) {
+                      return r.deploy.devices_stale > 0 && r.deploy.predictions_delivered > 0;
+                    }});
+  }
+  {
+    FleetConfig c = grid_ota(105, true);
+    c.ota.regression_tolerance = -1.0;  // every canary verdict rolls back
+    c.chaos.corruption_storms = 2.0;
+    c.chaos.storm_corrupt_prob = 0.3;
+    grid.push_back({"ota-canary-rollback-ff", c, [](const FleetReport& r) {
+                      return r.deploy.ota.rollbacks > 0 && r.deploy.ota.probe_uplink_bytes > 0 &&
+                             r.faults.rows_corrupt_rejected > 0;
+                    }});
+  }
+  {
+    FleetConfig c = grid_ota(106, false);
+    grid_ack(c);
+    grid_chaos(c);
+    c.faults.edge_crashes = 1.0;
+    c.faults.device_churns = 2.0;
+    grid.push_back({"ota-chaos-ack", c, [](const FleetReport& r) {
+                      return r.deploy.ota.chunks_delivered > 0 && r.deploy.ota.resume_rounds > 0;
+                    }});
+  }
+  grid.push_back({"degrade-l1-ack", grid_degrade(1, true, true),
+                  [](const FleetReport& r) { return r.degradation.windows_sampled > 0; }});
+  {
+    // Edge crashes dump flight rings whose rx-rows notes carry frame trace
+    // ids, so a shift in the id sequence shows in the report.
+    FleetConfig c = grid_degrade(2, false, true);
+    c.faults.edge_crashes = 2.0;
+    grid.push_back({"degrade-l2-ff", c, [](const FleetReport& r) {
+                      return r.degradation.summaries_delivered > 0 &&
+                             !r.faults.flight_dumps.empty();
+                    }});
+  }
+  grid.push_back({"degrade-l3-ack", grid_degrade(3, true, false),
+                  [](const FleetReport& r) { return r.degradation.summaries_delivered > 0; }});
+  {
+    FleetConfig c = grid_degrade(-1, true, true);
+    c.channel.queue_capacity = 2;
+    c.degrade.dead_letter_rate_ref = 0.25;
+    c.degrade.checkpoint_lag_rows = 40;
+    c.degrade.thresholds.up = {0.2, 0.6, 1.2};
+    c.degrade.thresholds.down = {0.1, 0.4, 0.9};
+    c.degrade.thresholds.dwell_s = 3.0;
+    c.chaos.load_storms = 2.0;
+    c.chaos.load_storm_mean_s = 6.0;
+    c.chaos.load_storm_factor = 6.0;
+    grid.push_back({"degrade-free-storms", c, [](const FleetReport& r) {
+                      return r.faults.load_storms > 0 && r.degradation.transitions_up > 0 &&
+                             r.degradation.summaries_sent > 0;
+                    }});
+  }
+  for (const bool sf : {false, true}) {
+    FleetConfig c = grid_fleet(sf ? 108 : 105, sf);
+    grid_ack(c);
+    c.channel.queue_capacity = 1;
+    c.device_flush_s = 1.0;
+    c.chaos.loss_bursts = 3.0;
+    c.chaos.burst_mean_s = 4.0;
+    c.chaos.burst_drop_prob = 0.6;
+    if (sf) c.device_buffer_rows = 4096;
+    grid.push_back({sf ? "ack-dead-letter-sf" : "ack-dead-letter", c,
+                    [](const FleetReport& r) { return r.channels.dead_letters > 0; }});
+  }
+  return grid;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string digest(const std::string& text) {
+  std::uint64_t h = kFnv64Basis;
+  for (const char c : text) h = fnv1a64_byte(h, static_cast<std::uint8_t>(c));
+  return hex64(h);
+}
+
+TEST(FleetDigest, GridMatchesPinnedBytes) {
+  const std::string path = std::string(IOTML_GOLDEN_DIR) + "/fleet_digest_grid.txt";
+  std::ostringstream table;
+  for (const GridCase& gc : digest_grid()) {
+    FleetSim sim(gc.config);
+    const FleetReport report = sim.run();
+    EXPECT_TRUE(gc.exercised(report)) << gc.name << " misses the send path it pins";
+    std::string events;
+    for (const std::string& line : sim.event_log()) events += line + '\n';
+    table << gc.name << ' ' << digest(events) << ' ' << digest(report.to_json()) << '\n';
+  }
+  const char* update = std::getenv("IOTML_UPDATE_GOLDEN");  // NOLINT(concurrency-mt-unsafe)
+  if (update != nullptr && update[0] == '1') {
+    std::ofstream(path, std::ios::binary) << table.str();
+    GTEST_SKIP() << "digest grid rewritten";
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream pinned;
+  pinned << in.rdbuf();
+  ASSERT_FALSE(pinned.str().empty())
+      << "missing golden file; regenerate with IOTML_UPDATE_GOLDEN=1";
+  EXPECT_EQ(table.str(), pinned.str());
 }
 
 }  // namespace

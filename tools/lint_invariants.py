@@ -43,13 +43,14 @@ R7  serialization-casts   reinterpret_cast is forbidden in src/, bench/,
                           the formats stay endian-stable and a value that
                           does not fit throws instead of silently wrapping
                           (golden bytes are pinned in tests/golden/).
-R8  transport-discipline  Direct Link transmit calls (`.transmit(` /
-                          `->transmit(`) are forbidden outside src/net/ in
-                          src/, bench/ and examples/ — every simulator send
-                          goes through net::Channel so transport policy
-                          (ack/retry, backpressure, checksum accounting) is
+R8  transport-discipline  Calls of the one wire primitive, Link::try_transmit
+                          (`.try_transmit(` / `->try_transmit(`), are
+                          forbidden outside src/net/ in src/, bench/ and
+                          examples/ — every simulator send goes through
+                          net::Channel so transport policy (both retry
+                          policies, backpressure, checksum accounting) is
                           applied in exactly one place. tests/ are exempt:
-                          they exercise the Link primitive directly.
+                          they may exercise the Link primitive directly.
 R9  float-equality        Bare `==` / `!=` against a floating-point literal is
                           forbidden in tests/ and bench/ — exact comparison is
                           representation-fragile (a value recomputed through a
@@ -359,11 +360,11 @@ def check_serialization_casts(root: Path) -> list[str]:
     return problems
 
 
-DIRECT_TRANSMIT = re.compile(r"(?:\.|->)\s*transmit\s*\(")
+DIRECT_TRANSMIT = re.compile(r"(?:\.|->)\s*try_transmit\s*\(")
 
 
 def check_transport_discipline(root: Path) -> list[str]:
-    """R8: Link::transmit calls only inside src/net/ (tests exempt)."""
+    """R8: Link::try_transmit calls only inside src/net/ (tests exempt)."""
     problems = []
     files: list[Path] = []
     for sub in ("src", "bench", "examples"):
@@ -377,7 +378,7 @@ def check_transport_discipline(root: Path) -> list[str]:
         for lineno, line in enumerate(code.splitlines(), start=1):
             if DIRECT_TRANSMIT.search(line):
                 problems.append(
-                    f"{f.relative_to(root)}:{lineno}: R8 direct Link transmit — send "
+                    f"{f.relative_to(root)}:{lineno}: R8 direct Link wire attempt — send "
                     f"through net::Channel (src/net/channel.hpp) so transport policy "
                     f"and accounting stay in one place"
                 )
@@ -486,9 +487,17 @@ def self_test() -> int:
          {"src/deploy/codec.cpp":
           "auto* p = reinterpret_cast<char*>(q);  // codec-sanctioned\n"},
          check_serialization_casts)
-    case("R8-flag", True, {"src/sim/a.cpp": "link.transmit(msg);\n"},
+    case("R8-flag", True,
+         {"src/sim/fleet.cpp": "const Attempt a = link.try_transmit(now_s, bytes, rng);\n"},
          check_transport_discipline)
-    case("R8-clean", False, {"src/net/channel.cpp": "link_.transmit(msg);\n"},
+    case("R8-flag-pointer", True,
+         {"bench/b.cpp": "auto a = link_->try_transmit(0.0, 10, rng);\n"},
+         check_transport_discipline)
+    case("R8-clean", False,
+         {"src/net/channel.cpp": "const Attempt w = link_->try_transmit(start_s, bytes, rng);\n"},
+         check_transport_discipline)
+    case("R8-clean-tests", False,
+         {"tests/t.cpp": "const Attempt a = link.try_transmit(0.0, 10, rng);\n"},
          check_transport_discipline)
     case("R9-flag", True, {"tests/t.cpp": "EXPECT_TRUE(v == 5.0);\n"},
          check_float_equality)
