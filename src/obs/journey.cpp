@@ -58,7 +58,7 @@ std::uint64_t JourneyLog::dropped() const {
 
 std::vector<HopRecord> JourneyLog::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return {records_.begin(), records_.end()};
 }
 
 void JourneyLog::write_jsonl(std::ostream& out) const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -51,8 +52,9 @@ struct HopRecord {
 
 /// Bounded append-only log of hop records. Appends past `capacity` are
 /// counted in dropped() rather than stored, so a runaway sim cannot OOM the
-/// observatory. Thread-safe; write_jsonl emits one fixed-key-order JSON
-/// object per line in append order.
+/// observatory. Storage grows in fixed chunks, so an append never holds an
+/// old and a new copy of the whole log. Thread-safe; write_jsonl emits one
+/// fixed-key-order JSON object per line in append order.
 class JourneyLog {
  public:
   explicit JourneyLog(std::size_t capacity);
@@ -70,7 +72,7 @@ class JourneyLog {
  private:
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::vector<HopRecord> records_;
+  std::deque<HopRecord> records_;
   std::uint64_t dropped_ = 0;
 };
 

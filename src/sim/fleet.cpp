@@ -259,7 +259,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   edge_checkpoints_.resize(config.edges);
   device_sf_.resize(config.devices);
   device_scored_.assign(config.devices, 0);
-  seen_.resize(topo_.num_nodes());
   artifact_seen_.assign(topo_.num_nodes(), 0);
   pred_seen_.resize(topo_.num_nodes());
   if (config.ota.enabled) {
@@ -430,6 +429,8 @@ FleetReport FleetSim::run() {
   const double drain_s = std::max(sched_.now_s(), config_.duration_s);
   for (std::size_t e = 0; e < config_.edges; ++e) handle_edge_flush(e, drain_s);
   while (!sched_.empty()) handle(sched_.pop());
+  IOTML_INTERNAL_CHECK(rows_in_flight_.empty(),
+                       "FleetSim: a row frame outlived the landing of its copies");
 
   if (degrade_on()) degrade_settle(std::max(sched_.now_s(), drain_s));
 
@@ -476,7 +477,7 @@ FleetReport FleetSim::run() {
       if (deg_out) deg_out << degradation_to_json(report_.degradation);
     }
   }
-  return report_;
+  return std::move(report_);
 }
 
 void FleetSim::handle(const Event& event) {
@@ -494,7 +495,8 @@ void FleetSim::handle(const Event& event) {
       handle_edge_flush(event.target - config_.devices, event.time_s);
       break;
     case EventKind::kArrival:
-      handle_arrival(event);
+    case EventKind::kCorruptArrival:
+      land_row_frame(event);
       break;
     case EventKind::kLinkDown:
       topo_.link(event.target).set_up(false);
@@ -567,9 +569,6 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kCheckpoint:
       handle_checkpoint(event.target);
-      break;
-    case EventKind::kCorruptArrival:
-      handle_corrupt_arrival(event);
       break;
     case EventKind::kOtaEpoch:
       handle_ota_epoch(event);
@@ -1242,7 +1241,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
                     .bytes = bytes,
                     .rows = rows,
                     .parents = parents,
-                    .message = messages_.size(),
+                    .message = next_row_frame_,
                     .corrupt_lands = true,
                     .trace = msg.trace.id};
 
@@ -1364,7 +1363,8 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     }
     return;
   }
-  // The frame landed (its arrival events are queued): store it for them.
+  // The frame landed (its arrival events are queued): hold it until the
+  // last of them has.
   msg.id = frame.message;
   if (out.corrupted) {
     // Fire-and-forget only: the frame lands, but the wire flipped bits, so
@@ -1376,8 +1376,11 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     }
     msg.checksum ^= 1;
   }
-  messages_.push_back(std::move(msg));
-  msg_parents_.push_back(std::move(parents));
+  rows_in_flight_.emplace(frame.message,
+                          RowsInFlight{.frame = std::move(msg),
+                                       .parents = std::move(parents),
+                                       .copies_left = out.duplicated ? 2 : 1});
+  ++next_row_frame_;
 }
 
 net::ChannelOutcome FleetSim::send_frame(Frame frame, double now_s) {
@@ -1403,16 +1406,29 @@ net::ChannelOutcome FleetSim::send_frame(Frame frame, double now_s) {
   return out;
 }
 
-void FleetSim::handle_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const net::Message& msg = messages_[event.message];
-  if (!seen_[node].insert(msg.id).second) {
+void FleetSim::land_row_frame(const Event& event) {
+  const auto it = rows_in_flight_.find(event.message);
+  IOTML_INTERNAL_CHECK(it != rows_in_flight_.end(),
+                       "FleetSim: a row frame landed more copies than were sent");
+  RowsInFlight& entry = it->second;
+  const net::Message& msg = entry.frame;
+  if (entry.landed) {
     ++report_.duplicates_discarded;
     obs::registry().counter("sim.net.duplicates_discarded").add();
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
+    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, event.target,
                    event.time_s, msg.payload.rows(), "duplicate");
-    return;
+  } else if (event.kind == EventKind::kArrival) {
+    handle_arrival(event, msg, entry.parents);
+  } else {
+    handle_corrupt_arrival(event, msg);
   }
+  entry.landed = true;
+  if (--entry.copies_left == 0) rows_in_flight_.erase(event.message);
+}
+
+void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
+                              std::span<const std::uint64_t> parents) {
+  const net::NodeId node = event.target;
   // Receivers verify every frame: an intact arrival must re-hash to its
   // stamped checksum (corrupt frames come in as kCorruptArrival instead).
   IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) == msg.checksum,
@@ -1475,8 +1491,7 @@ void FleetSim::handle_arrival(const Event& event) {
       buf.rows.append_rows(msg.payload);
       buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
     }
-    buf.parents.insert(buf.parents.end(), msg_parents_[msg.id].begin(),
-                       msg_parents_[msg.id].end());
+    buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
     if (degrade_on()) {
       buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.row_count,
                             msg.payload.rows()});
@@ -1485,16 +1500,8 @@ void FleetSim::handle_arrival(const Event& event) {
   }
 }
 
-void FleetSim::handle_corrupt_arrival(const Event& event) {
+void FleetSim::handle_corrupt_arrival(const Event& event, const net::Message& msg) {
   const net::NodeId node = event.target;
-  const net::Message& msg = messages_[event.message];
-  if (!seen_[node].insert(msg.id).second) {
-    ++report_.duplicates_discarded;
-    obs::registry().counter("sim.net.duplicates_discarded").add();
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                   event.time_s, msg.payload.rows(), "duplicate");
-    return;
-  }
   // The receiver recomputes the checksum over what the wire delivered and
   // rejects the frame on mismatch: corrupt rows are counted, never scored.
   IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) != msg.checksum,

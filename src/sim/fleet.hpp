@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -250,7 +251,8 @@ class FleetSim {
   FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline);
 
   /// Run the simulation to completion. One-shot: throws InvalidArgument on
-  /// a second call (build a fresh FleetSim to re-run).
+  /// a second call (build a fresh FleetSim to re-run), and moves the
+  /// report out rather than copying it.
   FleetReport run();
 
   /// One line per processed event (see Scheduler::log); byte-identical
@@ -280,13 +282,30 @@ class FleetSim {
     std::vector<approx::Stratum> strata;
   };
 
+  /// A row frame from its send until the last of its scheduled copies
+  /// lands: the original, plus a straggler when the link duplicated it.
+  struct RowsInFlight {
+    net::Message frame;
+    /// Origin-window trace ids folded into the frame. Kept off the wire
+    /// struct: receivers inherit provenance locally, the frame only carries
+    /// the 10-byte TraceContext.
+    std::vector<std::uint64_t> parents;
+    int copies_left = 1;    ///< scheduled copies still to land
+    bool landed = false;    ///< a copy landed; later ones are duplicates
+  };
+
   void generate_device_data();
   void schedule_initial_events();
   void handle(const Event& event);
   void handle_device_flush(const Event& event);
   void handle_edge_flush(std::size_t edge_index, double now_s);
-  void handle_arrival(const Event& event);
-  void handle_corrupt_arrival(const Event& event);
+  /// One copy of a row frame lands (kArrival or kCorruptArrival). The first
+  /// copy is accepted or rejected, a later one counts as a duplicate, and
+  /// the last erases the frame's in-flight entry.
+  void land_row_frame(const Event& event);
+  void handle_arrival(const Event& event, const net::Message& msg,
+                      std::span<const std::uint64_t> parents);
+  void handle_corrupt_arrival(const Event& event, const net::Message& msg);
   void send(net::NodeId from, Buffer&& chunk, double now_s);
   void finalize();
   int truth_label(double time_s) const;
@@ -305,7 +324,7 @@ class FleetSim {
     std::size_t rows = 0;
     std::span<const std::uint64_t> parents;  ///< journey provenance
     EventKind arrival = EventKind::kArrival;
-    std::size_t message = kNoMessage;  ///< payload index the arrivals carry
+    std::size_t message = kNoMessage;  ///< message index the arrivals carry
     bool corrupt_lands = false;  ///< corrupt copies arrive as kCorruptArrival
     std::uint64_t trace = 0;     ///< 0: send_frame takes the next trace id
   };
@@ -430,15 +449,15 @@ class FleetSim {
   std::vector<data::Dataset> device_data_;    ///< pre-integrated full window
   std::vector<std::size_t> device_cursor_;    ///< next unflushed row
 
-  std::vector<net::Message> messages_;
-  /// Per-message parent origin-window ids, parallel to messages_. Kept off
-  /// the wire struct: receivers inherit provenance locally, the frame only
-  /// carries the 10-byte TraceContext.
-  std::vector<std::vector<std::uint64_t>> msg_parents_;
+  /// Row frames whose arrivals are scheduled, held until their last copy
+  /// lands and keyed by the message index those arrival events carry (the
+  /// event log's msg=). Each frame has one destination, so its first copy
+  /// to land is the delivery and any later one a duplicate.
+  // det-sanctioned: found and erased by key only, never iterated
+  std::unordered_map<std::size_t, RowsInFlight> rows_in_flight_;
+  std::size_t next_row_frame_ = 0;  ///< message index of the next frame to land
   std::vector<Buffer> edge_buffers_;
   Buffer core_buffer_;
-  // det-sanctioned: membership-only dedup set per node, never iterated
-  std::vector<std::unordered_set<std::uint64_t>> seen_;
 
   /// Per-tier virtual-latency distributions at fixed memory: 1 ms
   /// doubling to ~9 min, quantiles clamped to the observed range.

@@ -58,7 +58,7 @@ struct Event {
   std::uint64_t seq = 0;  ///< push order; breaks timestamp ties FIFO
   EventKind kind = EventKind::kDeviceFlush;
   std::size_t target = 0;             ///< node id (link index for link faults)
-  std::size_t message = kNoMessage;   ///< message store index for kArrival
+  std::size_t message = kNoMessage;   ///< index of the message an arrival carries
 };
 
 /// Deterministic discrete-event queue over a virtual clock. Events pop in

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -485,6 +486,17 @@ FleetConfig grid_degrade(int pin, bool ack, bool observatory) {
   return c;
 }
 
+// Fire-and-forget over links that duplicate many deliveries, with one
+// corruption storm: straggler copies land behind intact and corrupt row
+// frames, at an edge and at the core.
+FleetConfig straggler_config() {
+  FleetConfig c = grid_fleet(127, true);
+  c.device_edge_link.duplicate_prob = 0.3;
+  c.edge_core_link.duplicate_prob = 0.2;
+  c.chaos.corruption_storms = 1.0;
+  return c;
+}
+
 std::vector<GridCase> digest_grid() {
   std::vector<GridCase> grid;
   {
@@ -585,6 +597,9 @@ std::vector<GridCase> digest_grid() {
     grid.push_back({sf ? "ack-dead-letter-sf" : "ack-dead-letter", c,
                     [](const FleetReport& r) { return r.channels.dead_letters > 0; }});
   }
+  grid.push_back({"ff-stragglers", straggler_config(), [](const FleetReport& r) {
+                    return r.duplicates_discarded > 0 && r.faults.rows_corrupt_rejected > 0;
+                  }});
   return grid;
 }
 
@@ -622,6 +637,29 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
   ASSERT_FALSE(pinned.str().empty())
       << "missing golden file; regenerate with IOTML_UPDATE_GOLDEN=1";
   EXPECT_EQ(table.str(), pinned.str());
+}
+
+// A straggler copy lands after the first copy has handed its frame to the
+// receiver, and its duplicate record still carries the frame's rows.
+TEST(FleetJourney, StragglerCopiesRecordTheirFrameRows) {
+  FleetSim fleet(straggler_config());
+  const FleetReport r = fleet.run();
+  ASSERT_NE(fleet.observatory(), nullptr);
+  std::map<std::uint64_t, std::size_t> sent_rows;  // trace id -> rows of its send
+  std::vector<obs::HopRecord> duplicates;
+  for (const obs::HopRecord& rec : fleet.observatory()->journeys().snapshot()) {
+    if (rec.stream != obs::HopStream::kRows) continue;
+    if (rec.kind == obs::HopKind::kSend) sent_rows[rec.trace] = rec.rows;
+    if (rec.kind == obs::HopKind::kArrive && std::string(rec.outcome) == "duplicate") {
+      duplicates.push_back(rec);
+    }
+  }
+  EXPECT_GT(r.duplicates_discarded, 0u);
+  EXPECT_EQ(duplicates.size(), r.duplicates_discarded);
+  for (const obs::HopRecord& rec : duplicates) {
+    ASSERT_EQ(sent_rows.count(rec.trace), 1u) << rec.trace;
+    EXPECT_EQ(rec.rows, sent_rows.at(rec.trace)) << rec.trace;
+  }
 }
 
 }  // namespace
