@@ -161,8 +161,8 @@ int main() {
     const char* artifact_dir = std::getenv("IOTML_OBSERVATORY");  // NOLINT(concurrency-mt-unsafe)
     if (artifact_dir != nullptr && *artifact_dir != '\0') {
       config.observatory.artifact_dir = artifact_dir;
-      if (!on_fleet->observatory()->write_artifacts(artifact_dir,
-                                                    on_fleet->event_log())) {
+      if (!on_fleet->observatory()->write_artifacts(
+              artifact_dir, [&](std::ostream& out) { on_fleet->write_event_log(out); })) {
         std::fprintf(stderr, "bench_fleet: could not write observatory artifacts to %s\n",
                      artifact_dir);
       }

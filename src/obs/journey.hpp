@@ -1,11 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "util/chunked_log.hpp"
 
 namespace iotml::obs {
 
@@ -52,14 +53,22 @@ struct HopRecord {
 
 /// Bounded append-only log of hop records. Appends past `capacity` are
 /// counted in dropped() rather than stored, so a runaway sim cannot OOM the
-/// observatory. Storage grows in fixed chunks, so an append never holds an
-/// old and a new copy of the whole log. Thread-safe; write_jsonl emits one
-/// fixed-key-order JSON object per line in append order.
+/// observatory. Each hop is stored as a fixed 64-byte record, its src, dst,
+/// rows, bytes and parent count narrowed to 32 bits; parent ids go to one
+/// shared arena in append order, so a stored hop owns no allocation and costs
+/// 64 B plus 8 B per parent. Records and arena grow in fixed chunks, so an
+/// append never holds an old and a new copy of the whole log. snapshot() and
+/// write_jsonl() rebuild the recorded HopRecords exactly. Thread-safe;
+/// write_jsonl emits one fixed-key-order JSON object per line in append
+/// order.
 class JourneyLog {
  public:
   explicit JourneyLog(std::size_t capacity);
 
-  void record(HopRecord r);
+  /// Appends `r`, or counts it as dropped once the log holds `capacity`
+  /// records. Throws InvalidArgument if r.src, r.dst, r.rows, r.bytes or the
+  /// number of r.parents exceeds 2^32 - 1, the width each is stored in.
+  void record(const HopRecord& r);
 
   std::size_t size() const;
   std::uint64_t dropped() const;
@@ -70,9 +79,31 @@ class JourneyLog {
   void clear();
 
  private:
+  struct Hop {
+    std::uint64_t trace = 0;
+    double t0_s = 0.0;
+    double t1_s = 0.0;
+    const char* outcome = "";
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    std::uint32_t rows = 0;
+    std::uint32_t bytes = 0;
+    std::uint32_t hop = 0;
+    std::uint32_t attempts = 0;
+    std::uint32_t parents = 0;  ///< count; they follow the previous hop's in the arena
+    HopKind kind = HopKind::kSend;
+    HopStream stream = HopStream::kRows;
+  };
+  static_assert(sizeof(Hop) <= 64, "a journey record stays within 64 bytes");
+
+  /// Calls `f(hop, first parent's arena index)` for every stored hop.
+  template <typename F>
+  void for_each_hop(F&& f) const;
+
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::deque<HopRecord> records_;
+  ChunkedLog<Hop> hops_;
+  ChunkedLog<std::uint64_t> parents_;
   std::uint64_t dropped_ = 0;
 };
 

@@ -11,8 +11,8 @@ Observatory::Observatory(std::size_t entities, ObservatoryOptions options)
       journeys_(options.journey_capacity),
       flight_(entities, options.flight_ring) {}
 
-bool Observatory::write_artifacts(const std::string& dir,
-                                  const std::vector<std::string>& event_log) const {
+bool Observatory::write_artifacts(
+    const std::string& dir, const std::function<void(std::ostream&)>& write_event_log) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
@@ -39,7 +39,7 @@ bool Observatory::write_artifacts(const std::string& dir,
   {
     std::ofstream out(root / "events.log");
     if (!out) return false;
-    for (const std::string& line : event_log) out << line << "\n";
+    write_event_log(out);
     if (!out) return false;
   }
   return true;

@@ -1,8 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/journey.hpp"
@@ -41,10 +42,11 @@ class Observatory {
   const ObservatoryOptions& options() const noexcept { return options_; }
 
   /// Writes timeseries.json, journeys.jsonl, flightrec.json and events.log
-  /// under `dir` (created if missing). Returns false if any file could not
-  /// be written.
+  /// under `dir` (created if missing); `write_event_log` streams the event
+  /// log's lines into events.log. Returns false if any file could not be
+  /// written.
   bool write_artifacts(const std::string& dir,
-                       const std::vector<std::string>& event_log) const;
+                       const std::function<void(std::ostream&)>& write_event_log) const;
 
  private:
   ObservatoryOptions options_;

@@ -73,16 +73,28 @@ std::string TraceCollector::chrome_json() const {
 
 Span::Span(TraceCollector& collector, std::string name, std::string category) {
   if (!collector.enabled()) return;
-  collector_ = &collector;
   event_.name = std::move(name);
   event_.category = std::move(category);
-  event_.tid = this_thread_id();
-  event_.depth = t_span_depth++;
-  event_.ts_us = now_us();  // read last so children start at or after parents
+  begin(collector);
 }
 
 Span::Span(std::string name, std::string category)
     : Span(trace(), std::move(name), std::move(category)) {}
+
+Span::Span(const char* name, const char* category) {
+  TraceCollector& collector = trace();
+  if (!collector.enabled()) return;
+  event_.name = name;
+  event_.category = category;
+  begin(collector);
+}
+
+void Span::begin(TraceCollector& collector) {
+  collector_ = &collector;
+  event_.tid = this_thread_id();
+  event_.depth = t_span_depth++;
+  event_.ts_us = now_us();  // read last so children start at or after parents
+}
 
 Span::~Span() {
   if (collector_ == nullptr) return;

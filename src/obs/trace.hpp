@@ -65,6 +65,11 @@ class Span {
   /// Convenience: span against the process-global collector (obs.hpp).
   explicit Span(std::string name, std::string category = "iotml");
 
+  /// Span against the process-global collector named by string literals (or
+  /// other strings that outlive the constructor). The names are copied only
+  /// when tracing is enabled, so an inert span costs one relaxed atomic load.
+  explicit Span(const char* name, const char* category = "iotml");
+
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -80,6 +85,9 @@ class Span {
   bool active() const noexcept { return collector_ != nullptr; }
 
  private:
+  /// Starts recording into `collector` once event_'s names are set.
+  void begin(TraceCollector& collector);
+
   TraceCollector* collector_ = nullptr;  // null when tracing was disabled
   TraceEvent event_;
 };

@@ -112,6 +112,47 @@ data::Dataset sensor_features(const data::Dataset& ds) {
   return cols.empty() || cols.size() == ds.num_columns() ? ds : ds.select_columns(cols);
 }
 
+/// Span name of each event kind's handler, "sim.event:" + event_kind_name:
+/// literals, so handle() builds no string per event. perfbench folds spans
+/// by these names.
+const char* event_span_name(EventKind kind) {
+  switch (kind) {
+    case EventKind::kDeviceFlush: return "sim.event:device-flush";
+    case EventKind::kEdgeFlush: return "sim.event:edge-flush";
+    case EventKind::kArrival: return "sim.event:arrival";
+    case EventKind::kLinkDown: return "sim.event:link-down";
+    case EventKind::kLinkUp: return "sim.event:link-up";
+    case EventKind::kDeviceDown: return "sim.event:device-down";
+    case EventKind::kDeviceUp: return "sim.event:device-up";
+    case EventKind::kDeployBroadcast: return "sim.event:deploy-broadcast";
+    case EventKind::kArtifactArrival: return "sim.event:artifact-arrival";
+    case EventKind::kPredictionArrival: return "sim.event:prediction-arrival";
+    case EventKind::kEdgeCrash: return "sim.event:edge-crash";
+    case EventKind::kEdgeRestart: return "sim.event:edge-restart";
+    case EventKind::kCoreCrash: return "sim.event:core-crash";
+    case EventKind::kCoreRestart: return "sim.event:core-restart";
+    case EventKind::kPartitionStart: return "sim.event:partition-start";
+    case EventKind::kPartitionEnd: return "sim.event:partition-end";
+    case EventKind::kLossBurstStart: return "sim.event:loss-burst-start";
+    case EventKind::kLossBurstEnd: return "sim.event:loss-burst-end";
+    case EventKind::kCorruptionStart: return "sim.event:corruption-start";
+    case EventKind::kCorruptionEnd: return "sim.event:corruption-end";
+    case EventKind::kCheckpoint: return "sim.event:checkpoint";
+    case EventKind::kCorruptArrival: return "sim.event:corrupt-arrival";
+    case EventKind::kOtaEpoch: return "sim.event:ota-epoch";
+    case EventKind::kOtaChunkArrival: return "sim.event:ota-chunk-arrival";
+    case EventKind::kOtaResume: return "sim.event:ota-resume";
+    case EventKind::kOtaReportArrival: return "sim.event:ota-report-arrival";
+    case EventKind::kOtaVerdict: return "sim.event:ota-verdict";
+    case EventKind::kOtaControlArrival: return "sim.event:ota-control-arrival";
+    case EventKind::kLoadStormStart: return "sim.event:load-storm-start";
+    case EventKind::kLoadStormEnd: return "sim.event:load-storm-end";
+    case EventKind::kStormFlush: return "sim.event:storm-flush";
+    case EventKind::kSummaryArrival: return "sim.event:summary-arrival";
+  }
+  return "sim.event:?";
+}
+
 /// Degrade summaries number their traces in a range of their own (top bit
 /// set), so the ladder's choices never shift the trace ids of row,
 /// artifact, prediction and patch frames, which flight notes carry.
@@ -467,7 +508,8 @@ FleetReport FleetSim::run() {
   }
   if (obsy_ && !config_.observatory.artifact_dir.empty()) {
     // Best-effort: an unwritable artifact dir must not fail a finished run.
-    obsy_->write_artifacts(config_.observatory.artifact_dir, sched_.log());
+    obsy_->write_artifacts(config_.observatory.artifact_dir,
+                           [this](std::ostream& out) { write_event_log(out); });
     if (config_.ota.enabled) {
       std::ofstream ota_out(config_.observatory.artifact_dir + "/ota.json");
       if (ota_out) ota_out << ota_to_json(report_.deploy.ota);
@@ -481,12 +523,13 @@ FleetReport FleetSim::run() {
 }
 
 void FleetSim::handle(const Event& event) {
-  obs::Span span("sim.event:" + event_kind_name(event.kind), "sim");
+  obs::Span span(event_span_name(event.kind), "sim");
   if (span.active()) {
     span.arg("t_s", event.time_s);
     span.arg("target", static_cast<std::uint64_t>(event.target));
   }
-  obs::registry().counter("sim.events").add();
+  static obs::Counter& events = obs::registry().counter("sim.events");
+  events.add();
   switch (event.kind) {
     case EventKind::kDeviceFlush:
       handle_device_flush(event);
@@ -1321,8 +1364,10 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
         channels_[link_index].stats().retransmits - tdf_pre_retrans;
   }
   ++report_.messages_sent;
-  obs::registry().counter("sim.net.messages").add();
-  obs::registry().counter("sim.net.bytes").add(bytes);
+  static obs::Counter& messages = obs::registry().counter("sim.net.messages");
+  static obs::Counter& wire_bytes = obs::registry().counter("sim.net.bytes");
+  messages.add();
+  wire_bytes.add(bytes);
   obs::registry()
       .counter("net.link." + topo_.link(link_index).name() + ".bytes")
       .add(bytes);
@@ -1715,7 +1760,7 @@ void FleetSim::journey_origin(std::uint64_t trace, obs::HopStream stream, net::N
   r.t1_s = t_s;
   r.rows = rows;
   r.bytes = bytes;
-  obsy_->journeys().record(std::move(r));
+  obsy_->journeys().record(r);
 }
 
 void FleetSim::journey_send(const Frame& frame, double t0_s, double t1_s,
@@ -1735,7 +1780,7 @@ void FleetSim::journey_send(const Frame& frame, double t0_s, double t1_s,
   r.attempts = static_cast<std::uint32_t>(attempts);
   r.outcome = outcome;
   r.parents.assign(frame.parents.begin(), frame.parents.end());
-  obsy_->journeys().record(std::move(r));
+  obsy_->journeys().record(r);
 }
 
 void FleetSim::journey_arrive(std::uint64_t trace, obs::HopStream stream,
@@ -1753,7 +1798,7 @@ void FleetSim::journey_arrive(std::uint64_t trace, obs::HopStream stream,
   r.t1_s = t_s;
   r.rows = rows;
   r.outcome = outcome;
-  obsy_->journeys().record(std::move(r));
+  obsy_->journeys().record(r);
 }
 
 void FleetSim::flight_dump(net::NodeId entity, const char* trigger, double t_s) {

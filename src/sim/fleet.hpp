@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -255,9 +256,14 @@ class FleetSim {
   /// report out rather than copying it.
   FleetReport run();
 
-  /// One line per processed event (see Scheduler::log); byte-identical
-  /// across runs with the same config and pipeline.
-  const std::vector<std::string>& event_log() const noexcept { return sched_.log(); }
+  /// One line per processed event (see Scheduler::log), rendered from the
+  /// stored events on every call; byte-identical across runs with the same
+  /// config and pipeline.
+  std::vector<std::string> event_log() const { return sched_.log(); }
+
+  /// Writes event_log()'s lines to `out`, each followed by '\n', without
+  /// building the vector: the bytes run() writes to events.log.
+  void write_event_log(std::ostream& out) const { sched_.write_log(out); }
 
   const net::Topology& topology() const noexcept { return topo_; }
 

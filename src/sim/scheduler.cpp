@@ -1,12 +1,13 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/error.hpp"
 
 namespace iotml::sim {
 
-std::string event_kind_name(EventKind kind) {
+std::string_view event_kind_name(EventKind kind) noexcept {
   switch (kind) {
     case EventKind::kDeviceFlush: return "device-flush";
     case EventKind::kEdgeFlush: return "edge-flush";
@@ -55,20 +56,45 @@ Event Scheduler::pop() {
   Event event = queue_.top();
   queue_.pop();
   now_s_ = event.time_s;
-  ++processed_;
-
-  char line[128];
-  if (event.message == kNoMessage) {
-    std::snprintf(line, sizeof(line), "t=%.6f #%llu %s target=%zu", event.time_s,
-                  static_cast<unsigned long long>(event.seq),
-                  event_kind_name(event.kind).c_str(), event.target);
-  } else {
-    std::snprintf(line, sizeof(line), "t=%.6f #%llu %s target=%zu msg=%zu",
-                  event.time_s, static_cast<unsigned long long>(event.seq),
-                  event_kind_name(event.kind).c_str(), event.target, event.message);
-  }
-  log_.emplace_back(line);
+  popped_.push_back(event);
   return event;
+}
+
+namespace {
+
+/// Formats `event`'s log line into `line` (no newline); returns its length.
+std::size_t render(const Event& event, char (&line)[128]) {
+  const std::string_view kind = event_kind_name(event.kind);
+  const int n =
+      event.message == kNoMessage
+          ? std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu", event.time_s,
+                          static_cast<unsigned long long>(event.seq),
+                          static_cast<int>(kind.size()), kind.data(), event.target)
+          : std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu msg=%zu",
+                          event.time_s, static_cast<unsigned long long>(event.seq),
+                          static_cast<int>(kind.size()), kind.data(), event.target,
+                          event.message);
+  // An over-long line is cut at the buffer, as snprintf always cut it.
+  return std::min(static_cast<std::size_t>(std::max(n, 0)), sizeof(line) - 1);
+}
+
+}  // namespace
+
+std::vector<std::string> Scheduler::log() const {
+  std::vector<std::string> lines;
+  lines.reserve(popped_.size());
+  char line[128];
+  popped_.for_each([&](const Event& event) { lines.emplace_back(line, render(event, line)); });
+  return lines;
+}
+
+void Scheduler::write_log(std::ostream& out) const {
+  char line[128];
+  popped_.for_each([&](const Event& event) {
+    const std::size_t n = render(event, line);
+    line[n] = '\n';
+    out.write(line, static_cast<std::streamsize>(n + 1));
+  });
 }
 
 }  // namespace iotml::sim

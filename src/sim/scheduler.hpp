@@ -2,9 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/chunked_log.hpp"
 
 namespace iotml::sim {
 
@@ -49,7 +53,7 @@ enum class EventKind {
   kSummaryArrival      ///< an approximate window summary reaches the core
 };
 
-std::string event_kind_name(EventKind kind);
+std::string_view event_kind_name(EventKind kind) noexcept;
 
 inline constexpr std::size_t kNoMessage = static_cast<std::size_t>(-1);
 
@@ -64,8 +68,9 @@ struct Event {
 /// Deterministic discrete-event queue over a virtual clock. Events pop in
 /// (time, push-order) order, so equal timestamps resolve FIFO and a run is
 /// a pure function of the pushes — no wall-clock reads anywhere (lint rule
-/// R6). Every pop appends one line to the event log, which the determinism
-/// test compares byte-for-byte across runs.
+/// R6). Every pop keeps its 40-byte Event; the event log, which the
+/// determinism test compares byte-for-byte across runs, is rendered from
+/// those records only when it is read.
 class Scheduler {
  public:
   /// Throws InvalidArgument if `time_s` precedes the current virtual time
@@ -83,10 +88,16 @@ class Scheduler {
   /// Current virtual time: the timestamp of the last popped event.
   double now_s() const noexcept { return now_s_; }
 
-  std::uint64_t processed() const noexcept { return processed_; }
+  std::uint64_t processed() const noexcept { return popped_.size(); }
 
-  /// One line per popped event, in processing order.
-  const std::vector<std::string>& log() const noexcept { return log_; }
+  /// The event log: one line per popped event, in processing order,
+  /// `t=<time_s, 6 decimals> #<seq> <kind> target=<target>[ msg=<message>]`
+  /// (msg only when the event carries one). Rendered from the stored events
+  /// on every call; write_log() streams the same lines without the vector.
+  std::vector<std::string> log() const;
+
+  /// Writes the lines of log() to `out`, each followed by '\n'.
+  void write_log(std::ostream& out) const;
 
  private:
   struct Later {
@@ -98,9 +109,8 @@ class Scheduler {
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
   double now_s_ = 0.0;
-  std::vector<std::string> log_;
+  ChunkedLog<Event> popped_;
 };
 
 }  // namespace iotml::sim

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -443,6 +445,136 @@ TEST(ObsJourney, JsonlHasMetaLineAndFixedKeyOrder) {
     ++n;
   }
   EXPECT_EQ(n, 2u);
+}
+
+void expect_same_hop(const obs::HopRecord& got, const obs::HopRecord& want) {
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.hop, want.hop);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.stream, want.stream);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.t0_s, want.t0_s);
+  EXPECT_EQ(got.t1_s, want.t1_s);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.outcome, want.outcome);  // the same static string, not a copy
+  EXPECT_EQ(got.parents, want.parents);
+}
+
+TEST(ObsJourney, CompactRecordsRoundTripThroughSnapshot) {
+  constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  const char* const outcomes[] = {"delivered", "timeout", "dead_letter", "accepted", ""};
+  std::vector<obs::HopRecord> in;
+  for (const obs::HopKind kind :
+       {obs::HopKind::kOrigin, obs::HopKind::kSend, obs::HopKind::kArrive}) {
+    for (const obs::HopStream stream :
+         {obs::HopStream::kRows, obs::HopStream::kArtifact, obs::HopStream::kPredictions,
+          obs::HopStream::kPatch, obs::HopStream::kSummary}) {
+      const std::size_t i = in.size();
+      obs::HopRecord r;
+      r.trace = (std::uint64_t{1} << 63) | i;
+      r.hop = static_cast<std::uint32_t>(i % 3);
+      r.kind = kind;
+      r.stream = stream;
+      r.src = i;
+      r.dst = kMax32 - i;
+      r.t0_s = 0.1 * static_cast<double>(i);
+      r.t1_s = 1e9 + static_cast<double>(i) / 3.0;
+      r.rows = i * 1000;
+      r.bytes = kMax32 - 2 * i;
+      r.attempts = static_cast<std::uint32_t>(i % 4);
+      r.outcome = outcomes[i % 5];
+      if (i % 3 == 1) r.parents = {i + 100};
+      if (i % 3 == 2) {
+        for (std::size_t p = 0; p < 10 * i; ++p) r.parents.push_back(p * p);
+        r.parents.back() = std::numeric_limits<std::uint64_t>::max();
+      }
+      in.push_back(r);
+    }
+  }
+  // Every narrowed field at the largest value it stores, and more parents
+  // than a 16-bit count could hold.
+  obs::HopRecord widest = make_hop(std::numeric_limits<std::uint64_t>::max(), "corrupt");
+  widest.hop = std::numeric_limits<std::uint32_t>::max();
+  widest.src = kMax32;
+  widest.dst = kMax32;
+  widest.rows = kMax32;
+  widest.bytes = kMax32;
+  widest.attempts = std::numeric_limits<std::uint32_t>::max();
+  widest.parents.assign(70000, 0);
+  std::iota(widest.parents.begin(), widest.parents.end(), std::uint64_t{5});
+  in.push_back(widest);
+  // Enough records after it that records and parents both span several
+  // storage chunks.
+  for (std::uint64_t trace = 0; trace < 600; ++trace) {
+    in.push_back(make_hop(trace, outcomes[trace % 5]));
+  }
+
+  obs::JourneyLog log(in.size());
+  for (const obs::HopRecord& r : in) log.record(r);
+  const std::vector<obs::HopRecord> out = log.snapshot();
+  ASSERT_EQ(out.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same_hop(out[i], in[i]);
+  }
+}
+
+TEST(ObsJourney, JsonlRendersEachStoredRecord) {
+  obs::JourneyLog log(8);
+  obs::HopRecord origin;
+  origin.trace = 3;
+  origin.kind = obs::HopKind::kOrigin;
+  origin.src = 4;
+  origin.dst = 4;
+  origin.t0_s = 0.5;
+  origin.t1_s = 0.5;
+  origin.rows = 12;
+  origin.bytes = 240;
+  log.record(origin);
+  log.record(make_hop(7, "delivered"));
+  obs::HopRecord summary = make_hop(std::numeric_limits<std::uint64_t>::max(), "dead_letter");
+  summary.kind = obs::HopKind::kArrive;
+  summary.stream = obs::HopStream::kSummary;
+  summary.hop = 1;
+  summary.src = std::numeric_limits<std::uint32_t>::max();
+  summary.rows = std::numeric_limits<std::uint32_t>::max();
+  summary.t1_s = 1.0 / 3.0;
+  summary.attempts = 0;
+  summary.parents = {1, 2, std::numeric_limits<std::uint64_t>::max()};
+  log.record(summary);
+  std::ostringstream out;
+  log.write_jsonl(out);
+  EXPECT_EQ(out.str(),
+            "{\"meta\": {\"records\": 3, \"dropped\": 0}}\n"
+            "{\"trace\": 3, \"kind\": \"origin\", \"stream\": \"rows\", \"hop\": 0, "
+            "\"src\": 4, \"dst\": 4, \"t0\": 0.5, \"t1\": 0.5, \"rows\": 12, "
+            "\"bytes\": 240, \"attempts\": 0, \"outcome\": \"\", \"parents\": []}\n"
+            "{\"trace\": 7, \"kind\": \"send\", \"stream\": \"rows\", \"hop\": 0, "
+            "\"src\": 1, \"dst\": 2, \"t0\": 0.25, \"t1\": 0.5, \"rows\": 8, "
+            "\"bytes\": 96, \"attempts\": 2, \"outcome\": \"delivered\", "
+            "\"parents\": [107]}\n"
+            "{\"trace\": 18446744073709551615, \"kind\": \"arrive\", "
+            "\"stream\": \"summary\", \"hop\": 1, \"src\": 4294967295, \"dst\": 2, "
+            "\"t0\": 0.25, \"t1\": 0.33333333333333331, \"rows\": 4294967295, "
+            "\"bytes\": 96, \"attempts\": 0, \"outcome\": \"dead_letter\", "
+            "\"parents\": [1, 2, 18446744073709551615]}\n");
+}
+
+TEST(ObsJourney, ValuesWiderThanTheirFieldAreRejected) {
+  constexpr std::size_t kTooWide = std::size_t{1} << 32;
+  obs::JourneyLog log(8);
+  for (std::size_t obs::HopRecord::*field :
+       {&obs::HopRecord::src, &obs::HopRecord::dst, &obs::HopRecord::rows,
+        &obs::HopRecord::bytes}) {
+    obs::HopRecord r = make_hop(1, "delivered");
+    r.*field = kTooWide;
+    EXPECT_THROW(log.record(r), InvalidArgument);
+  }
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
 }
 
 TEST(ObsJourney, ConcurrentRecordingKeepsEveryRecordUpToCapacity) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sim/fleet.hpp"
 #include "sim/placement.hpp"
 #include "sim/scheduler.hpp"
@@ -54,6 +56,35 @@ TEST(Scheduler, RejectsPastEventsAndEmptyPop) {
   s.push(1.0, EventKind::kDeviceFlush, 0);  // same instant is allowed
   s.pop();
   EXPECT_THROW(s.pop(), InvalidArgument);
+}
+
+TEST(Scheduler, LogIsRenderedFromPoppedEventsOnEveryRead) {
+  Scheduler s;
+  s.push(0.5, EventKind::kDeviceFlush, 3);
+  s.push(0.25, EventKind::kArrival, 7, 42);
+  EXPECT_EQ(s.pop().message, 42u);
+  EXPECT_EQ(s.log(), std::vector<std::string>{"t=0.250000 #1 arrival target=7 msg=42"});
+  s.push(0.25, EventKind::kCorruptArrival, 8, 0);  // same instant, pushed later
+  s.push(1.0 / 3.0, EventKind::kSummaryArrival, 2080, kNoMessage - 1);
+  s.pop();
+  s.pop();
+  s.push(12.0, EventKind::kEdgeFlush, 2001);
+  s.pop();
+  s.pop();
+  const std::vector<std::string> expected = {
+      "t=0.250000 #1 arrival target=7 msg=42",
+      "t=0.250000 #2 corrupt-arrival target=8 msg=0",
+      "t=0.333333 #3 summary-arrival target=2080 msg=18446744073709551614",
+      "t=0.500000 #0 device-flush target=3",
+      "t=12.000000 #4 edge-flush target=2001",
+  };
+  EXPECT_EQ(s.log(), expected);
+  EXPECT_EQ(s.log(), s.log());
+  std::ostringstream streamed;
+  s.write_log(streamed);
+  std::string joined;
+  for (const std::string& line : expected) joined += line + '\n';
+  EXPECT_EQ(streamed.str(), joined);
 }
 
 TEST(Scheduler, EventKindNames) {
@@ -179,6 +210,25 @@ TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
   EXPECT_GT(obsy->flight().noted(), 0u);
   EXPECT_GT(obsy->series().series_count(), 0u);
   EXPECT_GT(obsy->series().samples_total(), 0u);
+}
+
+TEST(Fleet, EventsLogArtifactIsTheEventLog) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "iotml_fleet_events_log_test";
+  std::filesystem::remove_all(dir);
+  FleetConfig config = small_config();
+  config.observatory.enabled = true;
+  config.observatory.artifact_dir = dir.string();
+  FleetSim fleet(config);
+  fleet.run();
+  std::string joined;
+  for (const std::string& line : fleet.event_log()) joined += line + '\n';
+  std::ifstream in(dir / "events.log", std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_FALSE(joined.empty());
+  EXPECT_EQ(written.str(), joined);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Fleet, LatencyTiersMirrorSummaryAndStayBounded) {
@@ -427,10 +477,12 @@ TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
 // Small fleets that between them cross every send site (rows, degrade
 // summaries, deploy artifacts and predictions, OTA chunks, probe reports
 // and rollback commands) in both channel modes. Each case pins the
-// FNV-1a-64 digests of its event log and FleetReport JSON in
-// golden/fleet_digest_grid.txt, so a change to the transport or the
-// simulator that moves one byte of either fails here. Regenerate with
-// IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour change.
+// FNV-1a-64 digests of its event log, its FleetReport JSON and, when the
+// observatory is on, its journeys.jsonl ("-" otherwise) in
+// golden/fleet_digest_grid.txt, so a change to the transport, the
+// simulator or the journey store that moves one byte of any fails here.
+// Regenerate with IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour
+// change.
 struct GridCase {
   std::string name;
   FleetConfig config;
@@ -624,7 +676,14 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
     EXPECT_TRUE(gc.exercised(report)) << gc.name << " misses the send path it pins";
     std::string events;
     for (const std::string& line : sim.event_log()) events += line + '\n';
-    table << gc.name << ' ' << digest(events) << ' ' << digest(report.to_json()) << '\n';
+    std::string journeys = "-";
+    if (sim.observatory() != nullptr) {
+      std::ostringstream jsonl;
+      sim.observatory()->journeys().write_jsonl(jsonl);
+      journeys = digest(jsonl.str());
+    }
+    table << gc.name << ' ' << digest(events) << ' ' << digest(report.to_json()) << ' '
+          << journeys << '\n';
   }
   const char* update = std::getenv("IOTML_UPDATE_GOLDEN");  // NOLINT(concurrency-mt-unsafe)
   if (update != nullptr && update[0] == '1') {
@@ -637,6 +696,36 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
   ASSERT_FALSE(pinned.str().empty())
       << "missing golden file; regenerate with IOTML_UPDATE_GOLDEN=1";
   EXPECT_EQ(table.str(), pinned.str());
+}
+
+// handle() names each event's span from a table of literals, and perfbench
+// folds spans by those names: every popped event gets one span named
+// "sim.event:" + the kind its event-log line prints.
+TEST(FleetTrace, EventSpansAreNamedByTheirLoggedKind) {
+  ASSERT_FALSE(obs::trace().enabled()) << "test assumes IOTML_TRACE is unset";
+  std::map<std::string, std::size_t> logged;
+  std::map<std::string, std::size_t> spanned;
+  obs::trace().set_enabled(true);
+  for (const GridCase& gc : digest_grid()) {
+    obs::trace().clear();
+    FleetSim sim(gc.config);
+    sim.run();
+    for (const std::string& line : sim.event_log()) {
+      std::istringstream fields(line);
+      std::string time;
+      std::string seq;
+      std::string kind;
+      fields >> time >> seq >> kind;
+      ++logged["sim.event:" + kind];
+    }
+    for (const obs::TraceEvent& span : obs::trace().snapshot()) {
+      if (span.name.rfind("sim.event:", 0) == 0) ++spanned[span.name];
+    }
+  }
+  obs::trace().set_enabled(false);
+  obs::trace().clear();
+  EXPECT_EQ(spanned, logged);
+  EXPECT_GE(logged.size(), 30u) << "the grid raises every kind but core crash/restart";
 }
 
 // A straggler copy lands after the first copy has handed its frame to the
