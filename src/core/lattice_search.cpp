@@ -285,13 +285,16 @@ SearchResult smushing_search(PartitionEvaluator& evaluator, const SearchCone& co
 
     // Smush the most mutually aligned pair of blocks (cheap Gram alignment,
     // no SVM). This is the lattice join with the atom identifying that pair.
+    std::vector<la::Matrix> grams;
+    grams.reserve(blocks.size());
+    for (const auto& block : blocks) {
+      grams.push_back(evaluator.cache().gram_for(features_of(block)));
+    }
     double best_alignment = -2.0;
     std::size_t merge_a = 0, merge_b = 1;
     for (std::size_t a = 0; a < blocks.size(); ++a) {
-      const la::Matrix& gram_a = evaluator.cache().gram_for(features_of(blocks[a]));
       for (std::size_t b = a + 1; b < blocks.size(); ++b) {
-        const la::Matrix& gram_b = evaluator.cache().gram_for(features_of(blocks[b]));
-        const double alignment = kernels::alignment(gram_a, gram_b);
+        const double alignment = kernels::alignment(grams[a], grams[b]);
         if (alignment > best_alignment) {
           best_alignment = alignment;
           merge_a = a;

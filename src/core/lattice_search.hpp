@@ -29,7 +29,9 @@ struct SearchResult {
   comb::SetPartition best;
   double best_score = 0.0;
   std::size_t partitions_evaluated = 0;   ///< SVM cross-validations run
-  std::size_t block_grams_computed = 0;   ///< distinct block Grams built
+  /// Distinct blocks the evaluator's cache has seen (one bandwidth each).
+  /// Not a count of Gram builds: each lookup builds one.
+  std::size_t block_grams_computed = 0;
   std::vector<EvaluatedPartition> trajectory;
   std::vector<double> best_weights;       ///< block weights of `best`
 };

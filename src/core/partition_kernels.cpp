@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "multiview/views.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -12,7 +13,7 @@ BlockGramCache::BlockGramCache(const la::Matrix& x) : x_(x) {
   IOTML_CHECK(x_.cols() >= 1, "BlockGramCache: need at least 1 feature");
 }
 
-const BlockGramCache::Entry& BlockGramCache::entry_for(
+const BlockGramCache::Bandwidths::value_type& BlockGramCache::entry_for(
     const std::vector<std::size_t>& block) {
   IOTML_CHECK(!block.empty(), "BlockGramCache: empty block");
   std::vector<std::size_t> key = block;
@@ -22,26 +23,26 @@ const BlockGramCache::Entry& BlockGramCache::entry_for(
   ++lookups_;
   static obs::Counter& lookups = obs::registry().counter("lattice.block_gram_lookups");
   lookups.add();
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+  auto it = gammas_.find(key);
+  if (it == gammas_.end()) {
     ++misses_;
     static obs::Counter& builds = obs::registry().counter("lattice.block_gram_builds");
     builds.add();
-    Entry entry;
-    entry.gamma = kernels::median_heuristic_gamma(x_, key);
-    kernels::SubsetKernel kernel(std::make_unique<kernels::RbfKernel>(entry.gamma), key);
-    entry.gram = kernels::gram(kernel, x_);
-    it = cache_.emplace(std::move(key), std::move(entry)).first;
+    const double gamma = kernels::median_heuristic_gamma(x_, key);
+    it = gammas_.emplace(std::move(key), gamma).first;
   }
-  return it->second;
+  return *it;
 }
 
-const la::Matrix& BlockGramCache::gram_for(const std::vector<std::size_t>& block) {
-  return entry_for(block).gram;
+la::Matrix BlockGramCache::gram_for(const std::vector<std::size_t>& block) {
+  const auto& [key, gamma] = entry_for(block);
+  // The Gram of SubsetKernel(RbfKernel(gamma), key) over x_, bit for bit, with
+  // each sample projected onto the block once instead of once per pair.
+  return kernels::gram(kernels::RbfKernel(gamma), multiview::project(x_, key));
 }
 
 double BlockGramCache::gamma_for(const std::vector<std::size_t>& block) {
-  return entry_for(block).gamma;
+  return entry_for(block).second;
 }
 
 la::Matrix partition_gram(BlockGramCache& cache, const comb::SetPartition& partition,

@@ -18,26 +18,29 @@ enum class WeightRule {
   kOptimized   ///< coordinate-ascent alignment maximization
 };
 
-/// Cache of block Gram matrices over a fixed sample matrix.
+/// Block kernels over a fixed sample matrix, keyed by canonical block.
 ///
-/// Every partition evaluated during the lattice search reuses the Grams of
-/// the blocks it shares with previously seen partitions — neighbouring
-/// partitions in the lattice differ in few blocks, which is what makes the
-/// search affordable. A block's kernel is an RBF over the block's features
-/// with a median-heuristic bandwidth (equivalently: the *product* of
-/// per-feature RBFs, the paper's aggregation-by-multiplication).
+/// A block's kernel is an RBF over the block's features with a
+/// median-heuristic bandwidth (equivalently: the *product* of per-feature
+/// RBFs, the paper's aggregation-by-multiplication). The cache keeps only
+/// that bandwidth, one double per distinct block, and no Gram: a lattice
+/// search over p features can meet up to 2^p - 1 blocks, so pinning an
+/// n x n Gram for each would make memory follow the blocks, not the data.
+/// Every `gram_for` lookup builds the block's Gram afresh, at O(n^2 |block|)
+/// kernel work.
 class BlockGramCache {
  public:
   explicit BlockGramCache(const la::Matrix& x);
 
   /// Gram of one block (features need not be sorted; the key is canonical).
-  const la::Matrix& gram_for(const std::vector<std::size_t>& block);
+  /// Built on every call; equal bit for bit on every call.
+  la::Matrix gram_for(const std::vector<std::size_t>& block);
 
   /// The median-heuristic bandwidth chosen for a block.
   double gamma_for(const std::vector<std::size_t>& block);
 
-  /// Number of distinct block Grams actually computed (cache misses). Each
-  /// miss costs O(n^2 |block|) kernel work — the search-cost currency.
+  /// Number of distinct blocks seen, each of which had its bandwidth
+  /// computed once (cache misses).
   std::size_t block_grams_computed() const noexcept { return misses_; }
 
   /// Total cache lookups.
@@ -46,16 +49,14 @@ class BlockGramCache {
   const la::Matrix& samples() const noexcept { return x_; }
 
  private:
-  struct Entry {
-    la::Matrix gram;
-    double gamma = 1.0;
-  };
+  using Bandwidths = std::map<std::vector<std::size_t>, double>;
   const la::Matrix x_;  // owned copy: cache outlives callers' temporaries
-  std::map<std::vector<std::size_t>, Entry> cache_;
+  Bandwidths gammas_;
   std::size_t misses_ = 0;
   std::size_t lookups_ = 0;
 
-  const Entry& entry_for(const std::vector<std::size_t>& block);
+  /// The block's canonical (sorted) key and its bandwidth.
+  const Bandwidths::value_type& entry_for(const std::vector<std::size_t>& block);
 };
 
 /// The combined Gram of a feature partition: weighted sum of its block Grams.

@@ -7,17 +7,22 @@
 
 namespace iotml::multiview {
 
-data::Samples project(const data::Samples& s, const View& view) {
+la::Matrix project(const la::Matrix& x, const View& view) {
   IOTML_CHECK(!view.empty(), "project: empty view");
-  data::Samples out;
-  out.x = la::Matrix(s.size(), view.size());
-  out.y = s.y;
-  for (std::size_t r = 0; r < s.size(); ++r) {
+  la::Matrix out(x.rows(), view.size());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t c = 0; c < view.size(); ++c) {
-      IOTML_CHECK(view[c] < s.dim(), "project: feature index out of range");
-      out.x(r, c) = s.x(r, view[c]);
+      IOTML_CHECK(view[c] < x.cols(), "project: feature index out of range");
+      out(r, c) = x(r, view[c]);
     }
   }
+  return out;
+}
+
+data::Samples project(const data::Samples& s, const View& view) {
+  data::Samples out;
+  out.x = project(s.x, view);
+  out.y = s.y;
   return out;
 }
 

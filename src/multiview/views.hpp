@@ -12,6 +12,9 @@ namespace iotml::multiview {
 /// have natively a faceted structure").
 using View = std::vector<std::size_t>;
 
+/// Restrict a sample matrix to one view's columns, in the view's order.
+la::Matrix project(const la::Matrix& x, const View& view);
+
 /// Restrict samples to one view's features.
 data::Samples project(const data::Samples& s, const View& view);
 

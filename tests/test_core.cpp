@@ -6,6 +6,7 @@
 #include "core/partition_kernels.hpp"
 #include "core/pipeline_game.hpp"
 #include "data/synthetic.hpp"
+#include "multiview/views.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -23,13 +24,39 @@ TEST(BlockGramCache, CachesByCanonicalBlock) {
   Rng rng(1);
   data::Samples s = data::make_blobs(30, 4, 2.0, 1.0, rng);
   BlockGramCache cache(s.x);
-  const la::Matrix& a = cache.gram_for({0, 2});
-  const la::Matrix& b = cache.gram_for({2, 0});  // same block, different order
-  EXPECT_EQ(&a, &b);
+  const la::Matrix a = cache.gram_for({0, 2});
+  const la::Matrix b = cache.gram_for({2, 0});  // same block, different order
+  EXPECT_EQ(a.data(), b.data());
   EXPECT_EQ(cache.block_grams_computed(), 1u);
   EXPECT_EQ(cache.lookups(), 2u);
   cache.gram_for({1});
   EXPECT_EQ(cache.block_grams_computed(), 2u);
+}
+
+TEST(BlockGramCache, EveryBlockMatchesDirectRbfGram) {
+  // Every block of a 5-feature set, passed in descending order. Feature 3 is
+  // constant, so block {3} takes the median heuristic's gamma = 1 fallback.
+  Rng rng(6);
+  data::Samples s = data::make_blobs(24, 5, 2.0, 1.0, rng);
+  for (std::size_t i = 0; i < s.x.rows(); ++i) s.x(i, 3) = 0.5;
+  BlockGramCache cache(s.x);
+  for (unsigned mask = 1; mask < 32u; ++mask) {
+    std::vector<std::size_t> sorted;
+    for (std::size_t f = 0; f < 5; ++f) {
+      if (mask & (1u << f)) sorted.push_back(f);
+    }
+    const std::vector<std::size_t> unsorted(sorted.rbegin(), sorted.rend());
+    const la::Matrix projected = multiview::project(s.x, sorted);
+    const double gamma = cache.gamma_for(unsorted);
+    const la::Matrix gram = cache.gram_for(unsorted);
+    EXPECT_EQ(gram.data(), kernels::gram(kernels::RbfKernel(gamma), projected).data())
+        << "block mask " << mask;
+    // The block kernel object used for prediction yields the same Gram.
+    const kernels::SubsetKernel block_kernel(std::make_unique<kernels::RbfKernel>(gamma), sorted);
+    EXPECT_EQ(gram.data(), kernels::gram(block_kernel, s.x).data()) << "block mask " << mask;
+  }
+  EXPECT_EQ(cache.gamma_for({3}), 1.0);
+  EXPECT_EQ(cache.block_grams_computed(), 31u);
 }
 
 TEST(BlockGramCache, Validation) {

@@ -23,8 +23,11 @@ TEST(Views, ProjectExtractsColumns) {
   EXPECT_DOUBLE_EQ(p.x(0, 1), 1);
   EXPECT_DOUBLE_EQ(p.x(1, 0), 6);
   EXPECT_EQ(p.y, s.y);
+  EXPECT_EQ(project(s.x, {2, 0}).data(), p.x.data());
   EXPECT_THROW(project(s, {}), InvalidArgument);
   EXPECT_THROW(project(s, {7}), InvalidArgument);
+  EXPECT_THROW(project(s.x, {}), InvalidArgument);
+  EXPECT_THROW(project(s.x, {7}), InvalidArgument);
 }
 
 TEST(Views, ContiguousViewsCoverAllFeatures) {
