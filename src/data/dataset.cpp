@@ -83,6 +83,11 @@ void Column::push_missing() {
   missing_.push_back(true);
 }
 
+void Column::reserve(std::size_t rows) {
+  values_.reserve(rows);
+  missing_.reserve(rows);
+}
+
 // ---- Dataset ----------------------------------------------------------------
 
 Column& Dataset::add_numeric_column(const std::string& name) {

@@ -49,6 +49,10 @@ class Column {
   /// Append a missing cell.
   void push_missing();
 
+  /// Make room for `rows` cells, so a column filled to a known final length
+  /// allocates once and holds no spare capacity.
+  void reserve(std::size_t rows);
+
   /// Raw storage (numeric value or category index; unspecified when missing).
   const std::vector<double>& raw() const noexcept { return values_; }
 

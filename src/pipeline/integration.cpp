@@ -60,12 +60,16 @@ IntegrationResult integrate_streams(const std::vector<SensorStream>& streams,
   // 3. Materialize the d-dimensional records.
   IntegrationResult out;
   out.merged_timestamps = merged;
+  // Every column is reserved at its final length: a caller may keep the
+  // records for a whole run (the fleet simulator keeps each device's window).
   data::Column& time_col = out.records.add_numeric_column("timestamp");
+  time_col.reserve(anchors.size());
   for (double a : anchors) time_col.push_numeric(a);
 
   std::size_t missing_cells = 0;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     data::Column& col = out.records.add_numeric_column(streams[s].sensor_name);
+    col.reserve(anchors.size());
     for (std::size_t rec = 0; rec < anchors.size(); ++rec) {
       const Cell& cell = cells[s][rec];
       if (cell.count == 0) {

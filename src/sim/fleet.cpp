@@ -192,8 +192,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   IOTML_CHECK(config.device_flush_s > 0.0 && config.edge_flush_s > 0.0,
               "FleetSim: flush intervals must be positive");
   IOTML_CHECK(config.sensor_period_s > 0.0, "FleetSim: sensor period must be positive");
-  IOTML_CHECK(config.sensor_dropout >= 0.0 && config.sensor_dropout <= 1.0,
-              "FleetSim: sensor dropout outside [0, 1]");
+  IOTML_CHECK(config.sensor_dropout >= 0.0 && config.sensor_dropout < 1.0,
+              "FleetSim: sensor dropout outside [0, 1)");
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
   IOTML_CHECK(config.checkpoint_interval_s >= 0.0,
               "FleetSim: negative checkpoint interval");
@@ -271,6 +271,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   // so the Link references the channels capture stay stable.
   channels_.reserve(topo_.num_links());
   core_link_.assign(topo_.num_links(), 0);
+  link_bytes_.assign(topo_.num_links(), nullptr);
   base_drop_prob_.reserve(topo_.num_links());
   base_corrupt_prob_.reserve(topo_.num_links());
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
@@ -337,6 +338,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     opts.flight_ring = config_.observatory.flight_ring;
     opts.journey_capacity = config_.observatory.journey_capacity;
     obsy_.emplace(topo_.num_nodes(), opts);
+    node_series_.resize(config.edges + 1);
   }
 
   generate_device_data();
@@ -414,8 +416,18 @@ void FleetSim::generate_device_data() {
           pipeline::simulate_sensor(spec, truths_[q], horizon_s, rng));
       readings += streams.back().readings.size();
     }
-    pipeline::IntegrationResult integ = pipeline::integrate_streams(
-        streams, {.merge_tolerance_s = 0.45 * config_.sensor_period_s});
+    pipeline::IntegrationResult integ;
+    if (readings > 0) {
+      integ = pipeline::integrate_streams(
+          streams, {.merge_tolerance_s = 0.45 * config_.sensor_period_s});
+    } else {
+      // Every sensor dropped every reading: the device keeps an empty window
+      // with the usual columns and simply never has rows to flush.
+      integ.records.add_numeric_column("timestamp");
+      for (const pipeline::SensorStream& s : streams) {
+        integ.records.add_numeric_column(s.sensor_name);
+      }
+    }
     report_.rows_generated += integ.records.rows();
 
     StageReport acq;
@@ -693,9 +705,10 @@ void FleetSim::handle_device_flush(const Event& event) {
                    out.row_count, 0);
     if (obsy_) {
       obsy_->flight().note(d, event.time_s, "flush", out.row_count);
-      obsy_->series()
-          .series("flush.rows", "fleet", "device")
-          .record(event.time_s, static_cast<double>(out.row_count));
+      if (flush_rows_series_ == nullptr) {
+        flush_rows_series_ = &obsy_->series().series("flush.rows", "fleet", "device");
+      }
+      flush_rows_series_->record(event.time_s, static_cast<double>(out.row_count));
     }
   }
   if (!topo_.node(d).up) {
@@ -747,9 +760,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   if (buf.row_count == 0) return;
   const net::NodeId e = topo_.edge(edge_index);
   if (obsy_) {
-    obsy_->series()
-        .series("buffer.rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(buf.row_count));
+    record_series(NodeSeries::kBufferRows, e, now_s, static_cast<double>(buf.row_count));
   }
   if (!topo_.node(e).up) return;  // hold the buffer until the edge recovers
 
@@ -902,9 +913,8 @@ int FleetSim::degrade_update(std::size_t edge_index, double now_s,
       obsy_->flight().note(e, now_s, "degrade-level",
                            static_cast<std::size_t>(before),
                            static_cast<std::size_t>(after));
-      obsy_->series()
-          .series("degrade.level", topo_.node(e).name, "edge")
-          .record(now_s, static_cast<double>(static_cast<int>(after)));
+      record_series(NodeSeries::kDegradeLevel, e, now_s,
+             static_cast<double>(static_cast<int>(after)));
     }
   }
   return static_cast<int>(after);
@@ -1024,9 +1034,7 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
   const net::NodeId e = topo_.edge(edge_index);
   if (obsy_) {
     obsy_->flight().note(e, now_s, "degrade-sample", population, keep.size());
-    obsy_->series()
-        .series("degrade.sampled_rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(keep.size()));
+    record_series(NodeSeries::kSampledRows, e, now_s, static_cast<double>(keep.size()));
   }
 }
 
@@ -1113,9 +1121,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
   if (obsy_) {
     obsy_->flight().note(e, now_s, "degrade-shed", population,
                          static_cast<std::size_t>(level));
-    obsy_->series()
-        .series("degrade.shed_rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(population));
+    record_series(NodeSeries::kShedRows, e, now_s, static_cast<double>(population));
   }
 
   // Summary uplink, fixed-size. A lost summary only costs observability,
@@ -1368,9 +1374,11 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   static obs::Counter& wire_bytes = obs::registry().counter("sim.net.bytes");
   messages.add();
   wire_bytes.add(bytes);
-  obs::registry()
-      .counter("net.link." + topo_.link(link_index).name() + ".bytes")
-      .add(bytes);
+  obs::Counter*& link_bytes = link_bytes_[link_index];
+  if (link_bytes == nullptr) {
+    link_bytes = &obs::registry().counter("net.link." + topo_.link(link_index).name() + ".bytes");
+  }
+  link_bytes->add(bytes);
   if (!out.accepted) {
     // Backpressure: the bounded send queue refused the message.
     ++report_.messages_dropped;
@@ -1495,12 +1503,9 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
     for (double origin : msg.origin_s) lat_end_to_end_.record(event.time_s - origin);
     if (obsy_) {
       obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      obsy_->series()
-          .series("uplink.latency_s", "core", "core")
-          .record(event.time_s, hop_latency_s);
-      obsy_->series()
-          .series("uplink.rows", "core", "core")
-          .record(event.time_s, static_cast<double>(msg.payload.rows()));
+      record_series(NodeSeries::kUplinkLatency, node, event.time_s, hop_latency_s);
+      record_series(NodeSeries::kUplinkRows, node, event.time_s,
+             static_cast<double>(msg.payload.rows()));
     }
     report_.rows_delivered += msg.payload.rows();
     core_buffer_.rows.append_rows(msg.payload);
@@ -1508,14 +1513,10 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
   } else {
     lat_device_edge_.record(hop_latency_s);
     if (obsy_) {
-      const std::string& entity = topo_.node(node).name;
       obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      obsy_->series()
-          .series("uplink.latency_s", entity, "edge")
-          .record(event.time_s, hop_latency_s);
-      obsy_->series()
-          .series("uplink.rows", entity, "edge")
-          .record(event.time_s, static_cast<double>(msg.payload.rows()));
+      record_series(NodeSeries::kUplinkLatency, node, event.time_s, hop_latency_s);
+      record_series(NodeSeries::kUplinkRows, node, event.time_s,
+             static_cast<double>(msg.payload.rows()));
     }
     Buffer& buf = edge_buffers_[node - config_.devices];
     if (!msg.tdf_frame.empty()) {
@@ -1814,6 +1815,19 @@ void FleetSim::flight_dump(net::NodeId entity, const char* trigger, double t_s) 
   dump.t_s = t_s;
   dump.events = obsy_->flight().dump_lines(entity);
   faults.flight_dumps.push_back(std::move(dump));
+}
+
+void FleetSim::record_series(NodeSeries which, net::NodeId node, double t_s, double value) {
+  static constexpr const char* kMetric[kNodeSeries] = {
+      "buffer.rows",       "degrade.level",    "degrade.sampled_rows",
+      "degrade.shed_rows", "uplink.latency_s", "uplink.rows"};
+  const auto index = static_cast<std::size_t>(which);
+  obs::Sampler*& sampler = node_series_[node - config_.devices][index];
+  if (sampler == nullptr) {
+    const net::NodeInfo& info = topo_.node(node);
+    sampler = &obsy_->series().series(kMetric[index], info.name, pipeline::tier_name(info.tier));
+  }
+  sampler->record(t_s, value);
 }
 
 void FleetSim::finalize() {

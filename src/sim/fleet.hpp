@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -199,7 +200,7 @@ struct FleetConfig {
   std::size_t device_buffer_rows = 0;
 
   double sensor_period_s = 0.5;  ///< nominal sampling period per sensor
-  double sensor_dropout = 0.05;  ///< per-sample loss at the sensor itself
+  double sensor_dropout = 0.05;  ///< per-sample loss at the sensor itself, in [0, 1)
   double sensor_noise = 0.4;     ///< base measurement noise (scaled per quantity)
   std::size_t feature_keep = 3;  ///< core-side MI feature selection budget
 
@@ -434,6 +435,23 @@ class FleetSim {
                       const char* outcome);
   void flight_dump(net::NodeId entity, const char* trigger, double t_s);
 
+  /// Observatory series sampled per edge or at the core, by metric name.
+  enum class NodeSeries : std::uint8_t {
+    kBufferRows,     ///< buffer.rows
+    kDegradeLevel,   ///< degrade.level
+    kSampledRows,    ///< degrade.sampled_rows
+    kShedRows,       ///< degrade.shed_rows
+    kUplinkLatency,  ///< uplink.latency_s
+    kUplinkRows      ///< uplink.rows
+  };
+  static constexpr std::size_t kNodeSeries = static_cast<std::size_t>(NodeSeries::kUplinkRows) + 1;
+  /// Records (t_s, value) in `node`'s `which` series; `node` is an edge or
+  /// the core, and obsy_ must be set. The sampler is looked up by (metric,
+  /// node name, node tier) on the node's first sample of that series and
+  /// cached, so the store holds exactly the series a by-name lookup per
+  /// sample would create.
+  void record_series(NodeSeries which, net::NodeId node, double t_s, double value);
+
   FleetConfig config_;
   net::Topology topo_;
   TierPipelines tiers_;
@@ -476,6 +494,12 @@ class FleetSim {
   /// and cost nothing when the observatory is off.
   std::uint64_t next_trace_ = 1;
   std::optional<obs::Observatory> obsy_;
+  /// record_series()'s samplers, null until first use: one row per edge, then
+  /// the core's (index node - devices). Empty when obsy_ is.
+  std::vector<std::array<obs::Sampler*, kNodeSeries>> node_series_;
+  obs::Sampler* flush_rows_series_ = nullptr;  ///< fleet-wide flush.rows
+  /// Each link's net.link.<name>.bytes counter, looked up on its first send.
+  std::vector<obs::Counter*> link_bytes_;
 
   std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
   std::vector<std::deque<Buffer>> device_sf_;  ///< store-and-forward chunks

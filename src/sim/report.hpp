@@ -10,6 +10,7 @@
 #include "net/link.hpp"
 #include "obs/metrics.hpp"
 #include "pipeline/stage.hpp"
+#include "sim/stage_log.hpp"
 
 namespace iotml::sim {
 
@@ -429,7 +430,7 @@ struct FleetReport {
   FaultLedger faults;          ///< all-zero on a fault-free run
   net::ChannelStats channels;  ///< every channel's counters, summed
 
-  std::vector<pipeline::StageReport> stage_reports;  ///< every stage run, in order
+  StageLog stage_reports;  ///< every stage run, in order
   std::vector<LinkReport> links;
   LatencySummary latency;  ///< end-to-end, mirror of latency_tiers["end-to-end"]
 

@@ -159,6 +159,22 @@ TEST(Integration, DuplicateHandlingAverageVsLast) {
   EXPECT_DOUBLE_EQ(last.records.column(1).numeric(0), 3.0);
 }
 
+TEST(Integration, ColumnsHoldNoSpareCapacity) {
+  Rng rng(12);
+  Signal zero = [](double) { return 0.0; };
+  std::vector<SensorStream> streams;
+  for (double period : {0.5, 0.7, 1.1}) {
+    streams.push_back(simulate_sensor(
+        {.name = "s", .period_s = period, .clock_jitter_s = 0.01, .dropout_prob = 0.1}, zero,
+        77.0, rng));
+  }
+  IntegrationResult res = integrate_streams(streams, {.merge_tolerance_s = 0.05});
+  ASSERT_GT(res.records.rows(), 100u);
+  for (std::size_t c = 0; c < res.records.num_columns(); ++c) {
+    EXPECT_EQ(res.records.column(c).raw().capacity(), res.records.column(c).size()) << c;
+  }
+}
+
 TEST(Integration, Validation) {
   EXPECT_THROW(integrate_streams({}), InvalidArgument);
   SensorStream empty{.sensor_name = "e", .readings = {}, .dropped = 0};

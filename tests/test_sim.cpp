@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -117,6 +118,85 @@ TEST(Placement, SplitByTierPreservesOrderWithinTier) {
   EXPECT_EQ(tiers.device.reports()[1].stage_name, "d2");
 }
 
+// ---- Stage log ---------------------------------------------------------------
+
+void expect_same_run(const pipeline::StageReport& got, const pipeline::StageReport& want,
+                     std::size_t i) {
+  EXPECT_EQ(got.stage_name, want.stage_name) << i;
+  EXPECT_EQ(got.player, want.player) << i;
+  EXPECT_EQ(got.tier, want.tier) << i;
+  EXPECT_EQ(got.rows_in, want.rows_in) << i;
+  EXPECT_EQ(got.rows_out, want.rows_out) << i;
+  EXPECT_EQ(got.columns_out, want.columns_out) << i;
+  EXPECT_EQ(got.missing_rate_in, want.missing_rate_in) << i;
+  EXPECT_EQ(got.missing_rate_out, want.missing_rate_out) << i;
+  EXPECT_EQ(got.cost, want.cost) << i;
+  EXPECT_EQ(got.wall_time_us, want.wall_time_us) << i;
+}
+
+TEST(StageLog, RunsRoundTripEveryFieldInPushOrder) {
+  constexpr std::size_t kMax32 = 0xFFFFFFFFu;
+  struct Triple {
+    const char* name;
+    const char* player;
+    Tier tier;
+  };
+  // Three triples share a stage name; the last differs from the first only
+  // by tier.
+  const Triple triples[] = {{"clean(hampel)", "device", Tier::kDevice},
+                            {"integration", "edge-operator", Tier::kEdge},
+                            {"clean(hampel)", "edge-operator", Tier::kEdge},
+                            {"clean(hampel)", "device", Tier::kCore}};
+  StageLog log;
+  std::vector<pipeline::StageReport> pushed;
+  // 1,200 runs of 48 bytes fill three 16 KiB chunks and part of a fourth.
+  for (std::size_t i = 0; i < 1200; ++i) {
+    const Triple& t = triples[(i + i / 5) % 4];
+    pipeline::StageReport r;
+    r.stage_name = t.name;
+    r.player = t.player;
+    r.tier = t.tier;
+    r.rows_in = i % 97 == 0 ? kMax32 : 3 * i;
+    r.rows_out = i % 89 == 0 ? kMax32 : i;
+    r.columns_out = i % 83 == 0 ? kMax32 : i % 7;
+    r.missing_rate_in = static_cast<double>(i) / 1201.0;
+    r.missing_rate_out = 1.0 / static_cast<double>(i + 3);
+    r.cost = 0.2 + 0.01 * static_cast<double>(i);
+    r.wall_time_us = i % 2 == 0 ? (std::uint64_t{1} << 32) + 1'000'003 * i : i;
+    log.push_back(r);
+    pushed.push_back(r);
+  }
+  ASSERT_EQ(log.size(), pushed.size());
+  std::size_t i = 0;
+  for (const pipeline::StageReport& r : log) {
+    ASSERT_LT(i, pushed.size());
+    expect_same_run(r, pushed[i], i);
+    ++i;
+  }
+  EXPECT_EQ(i, pushed.size());
+}
+
+TEST(StageLog, CountsWiderThan32BitsAreRejected) {
+  constexpr std::size_t kTooWide = std::size_t{1} << 32;
+  pipeline::StageReport run;
+  run.stage_name = "acquisition";
+  run.player = "device";
+  run.tier = Tier::kDevice;
+  run.rows_in = 7;
+  run.rows_out = 5;
+  run.columns_out = 4;
+  StageLog log;
+  log.push_back(run);
+  for (std::size_t field = 0; field < 3; ++field) {
+    pipeline::StageReport wide = run;
+    wide.stage_name = "wide";
+    (field == 0 ? wide.rows_in : field == 1 ? wide.rows_out : wide.columns_out) = kTooWide;
+    EXPECT_THROW(log.push_back(wide), InvalidArgument) << field;
+  }
+  ASSERT_EQ(log.size(), 1u);
+  expect_same_run(*log.begin(), run, 0);
+}
+
 // ---- Fleet simulation --------------------------------------------------------
 
 FleetConfig small_config(std::uint64_t seed = 42) {
@@ -208,8 +288,23 @@ TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
   EXPECT_GT(accepted_at_core, 0u);
 
   EXPECT_GT(obsy->flight().noted(), 0u);
-  EXPECT_GT(obsy->series().series_count(), 0u);
   EXPECT_GT(obsy->series().samples_total(), 0u);
+  // The fleet-wide flush series, then per edge and at the core the series
+  // their first sample created, each keyed by its own node.
+  std::set<std::string> keys;
+  const std::string json = obsy->series().to_json();
+  const std::regex key_re(R"re("metric": "([^"]+)", "entity": "([^"]+)", "tier": "([^"]+)")re");
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key_re);
+       it != std::sregex_iterator(); ++it) {
+    keys.insert((*it)[1].str() + "/" + (*it)[2].str() + "/" + (*it)[3].str());
+  }
+  EXPECT_EQ(keys, (std::set<std::string>{
+                      "flush.rows/fleet/device", "buffer.rows/edge0/edge",
+                      "buffer.rows/edge1/edge", "uplink.latency_s/edge0/edge",
+                      "uplink.latency_s/edge1/edge", "uplink.latency_s/core/core",
+                      "uplink.rows/edge0/edge", "uplink.rows/edge1/edge",
+                      "uplink.rows/core/core"}));
+  EXPECT_EQ(obsy->series().series_count(), keys.size());
 }
 
 TEST(Fleet, EventsLogArtifactIsTheEventLog) {
@@ -377,6 +472,74 @@ TEST(Fleet, Validation) {
   FleetConfig bad_flush = small_config();
   bad_flush.device_flush_s = 0.0;
   EXPECT_THROW(FleetSim{bad_flush}, InvalidArgument);
+
+  // FleetSim's own check rejects a sensor that drops every reading.
+  FleetConfig deaf = small_config();
+  deaf.sensor_dropout = 1.0;
+  try {
+    FleetSim fleet(deaf);
+    FAIL() << "expected throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("FleetSim: sensor dropout outside [0, 1)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A device whose three sensors drop every reading keeps an empty window and
+// the fleet runs on; with a 1 s window at 50 % dropout most of these seeds
+// draw such a device.
+TEST(Fleet, SilentDeviceGetsAnEmptyWindow) {
+  std::size_t silent = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    FleetConfig config;
+    config.devices = 100;
+    config.duration_s = 1.0;
+    config.sensor_dropout = 0.5;
+    config.seed = seed;
+    FleetSim fleet(config);
+    const FleetReport r = fleet.run();
+    EXPECT_TRUE(r.rows_conserved()) << "seed " << seed;
+    for (const pipeline::StageReport& s : r.stage_reports) {
+      if (s.stage_name != "acquisition" || s.rows_out > 0) continue;
+      ++silent;
+      EXPECT_EQ(s.rows_in, 0u) << "seed " << seed;
+      EXPECT_EQ(s.columns_out, 4u) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(silent, 0u);
+}
+
+// send() charges each frame's bytes to sim.net.bytes and to the cached
+// counter of the link it crossed. On lossless links every frame is
+// delivered, so each link's counter also equals the bytes its stats count.
+TEST(Fleet, LinkByteCountersFollowTheirLink) {
+  FleetConfig config = small_config();
+  config.faults = {};
+  config.device_edge_link.drop_prob = 0.0;
+  config.edge_core_link.drop_prob = 0.0;
+  FleetSim fleet(config);
+  obs::Registry& registry = obs::registry();
+  auto link_counter = [&registry](const std::string& name) -> obs::Counter& {
+    return registry.counter("net.link." + name + ".bytes");
+  };
+  std::map<std::string, std::uint64_t> before;
+  for (std::size_t l = 0; l < fleet.topology().num_links(); ++l) {
+    const std::string& name = fleet.topology().link(l).name();
+    before[name] = link_counter(name).value();
+  }
+  obs::Counter& wire = registry.counter("sim.net.bytes");
+  const std::uint64_t wire_before = wire.value();
+  const FleetReport r = fleet.run();
+  ASSERT_EQ(r.links.size(), before.size());
+  std::uint64_t total = 0;
+  for (const LinkReport& link : r.links) {
+    const std::uint64_t sent = link_counter(link.name).value() - before.at(link.name);
+    EXPECT_EQ(sent, link.stats.bytes) << link.name;
+    total += sent;
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(total, wire.value() - wire_before);
 }
 
 // ---- Send-hop labels ---------------------------------------------------------
