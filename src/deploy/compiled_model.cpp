@@ -39,15 +39,15 @@ Tensor decode_tensor(ByteReader& r) {
   const std::uint32_t n = r.u32();
   switch (t.precision) {
     case Precision::kFloat32:
-      t.f.reserve(n);
+      t.f.reserve(r.count(n, 4));
       for (std::uint32_t i = 0; i < n; ++i) t.f.push_back(r.f32());
       break;
     case Precision::kInt16:
-      t.q.reserve(n);
+      t.q.reserve(r.count(n, 2));
       for (std::uint32_t i = 0; i < n; ++i) t.q.push_back(r.i16());
       break;
     case Precision::kInt8:
-      t.q.reserve(n);
+      t.q.reserve(r.count(n, 1));
       for (std::uint32_t i = 0; i < n; ++i) t.q.push_back(r.i8());
       break;
   }
@@ -184,13 +184,13 @@ CompiledModel CompiledModel::decode(const std::vector<std::uint8_t>& bytes) {
   model.precision = static_cast<Precision>(prec_tag);
   model.num_classes = r.u16();
   const std::uint16_t n_features = r.u16();
-  model.features.reserve(n_features);
+  model.features.reserve(r.count(n_features, 7));  // name length, flag, category count
   for (std::uint16_t i = 0; i < n_features; ++i) {
     FeatureSchema fs;
     fs.name = r.str();
     fs.categorical = r.u8() != 0;
     const std::uint16_t n_cats = r.u16();
-    fs.categories.reserve(n_cats);
+    fs.categories.reserve(r.count(n_cats, 4));  // each label has a u32 length
     for (std::uint16_t c = 0; c < n_cats; ++c) fs.categories.push_back(r.str());
     model.features.push_back(std::move(fs));
   }
@@ -199,7 +199,7 @@ CompiledModel CompiledModel::decode(const std::vector<std::uint8_t>& bytes) {
     case ModelKind::kTree: {
       const std::uint16_t n_nodes = r.u16();
       const std::uint16_t n_children = r.u16();
-      model.tree.nodes.reserve(n_nodes);
+      model.tree.nodes.reserve(r.count(n_nodes, 8));
       for (std::uint16_t i = 0; i < n_nodes; ++i) {
         TreeNode n;
         n.flags = r.u8();
@@ -210,7 +210,7 @@ CompiledModel CompiledModel::decode(const std::vector<std::uint8_t>& bytes) {
         n.missing_slot = r.u8();
         model.tree.nodes.push_back(n);
       }
-      model.tree.child_index.reserve(n_children);
+      model.tree.child_index.reserve(r.count(n_children, 2));
       for (std::uint16_t i = 0; i < n_children; ++i) {
         model.tree.child_index.push_back(r.u16());
       }
@@ -234,7 +234,7 @@ CompiledModel CompiledModel::decode(const std::vector<std::uint8_t>& bytes) {
         } else {
           f.mean = decode_tensor(r);
           f.variance = decode_tensor(r);
-          f.class_present.reserve(model.num_classes);
+          f.class_present.reserve(r.count(model.num_classes, 1));
           for (std::uint16_t c = 0; c < model.num_classes; ++c) {
             f.class_present.push_back(r.u8());
           }

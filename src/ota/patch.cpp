@@ -1,5 +1,6 @@
 #include "ota/patch.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
@@ -83,7 +84,7 @@ Patch Patch::decode(const std::vector<std::uint8_t>& bytes) {
   p.target_checksum = r.u32();
   p.target_size = r.u32();
   const std::uint32_t count = r.u32();
-  p.ops.reserve(count);
+  p.ops.reserve(r.count(count, 5));  // an op is at least kind + length
   std::uint64_t produced = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     PatchOp op;
@@ -96,7 +97,7 @@ Patch Patch::decode(const std::vector<std::uint8_t>& bytes) {
     if (op.kind == OpKind::kCopy) {
       op.base_offset = r.u32();
     } else {
-      op.data.reserve(op.length);
+      op.data.reserve(r.count(op.length, 1));
       for (std::uint32_t b = 0; b < op.length; ++b) op.data.push_back(r.u8());
     }
     produced += op.length;
@@ -121,8 +122,14 @@ std::size_t Patch::size_bytes() const {
 std::vector<std::uint8_t> Patch::apply(const std::vector<std::uint8_t>& base) const {
   IOTML_CHECK(image_checksum(base) == base_checksum,
               "Patch::apply: base image does not match the patch's base checksum");
+  // Reserve what the ops can produce, never just what the header claims.
+  std::uint64_t producible = 0;
+  for (const PatchOp& op : ops) {
+    producible += op.kind == OpKind::kCopy ? std::min<std::uint64_t>(op.length, base.size())
+                                           : op.data.size();
+  }
   std::vector<std::uint8_t> target;
-  target.reserve(target_size);
+  target.reserve(std::min<std::uint64_t>(target_size, producible));
   for (const PatchOp& op : ops) {
     if (op.kind == OpKind::kCopy) {
       IOTML_CHECK(static_cast<std::uint64_t>(op.base_offset) + op.length <= base.size(),

@@ -112,47 +112,6 @@ data::Dataset sensor_features(const data::Dataset& ds) {
   return cols.empty() || cols.size() == ds.num_columns() ? ds : ds.select_columns(cols);
 }
 
-/// Span name of each event kind's handler, "sim.event:" + event_kind_name:
-/// literals, so handle() builds no string per event. perfbench folds spans
-/// by these names.
-const char* event_span_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kDeviceFlush: return "sim.event:device-flush";
-    case EventKind::kEdgeFlush: return "sim.event:edge-flush";
-    case EventKind::kArrival: return "sim.event:arrival";
-    case EventKind::kLinkDown: return "sim.event:link-down";
-    case EventKind::kLinkUp: return "sim.event:link-up";
-    case EventKind::kDeviceDown: return "sim.event:device-down";
-    case EventKind::kDeviceUp: return "sim.event:device-up";
-    case EventKind::kDeployBroadcast: return "sim.event:deploy-broadcast";
-    case EventKind::kArtifactArrival: return "sim.event:artifact-arrival";
-    case EventKind::kPredictionArrival: return "sim.event:prediction-arrival";
-    case EventKind::kEdgeCrash: return "sim.event:edge-crash";
-    case EventKind::kEdgeRestart: return "sim.event:edge-restart";
-    case EventKind::kCoreCrash: return "sim.event:core-crash";
-    case EventKind::kCoreRestart: return "sim.event:core-restart";
-    case EventKind::kPartitionStart: return "sim.event:partition-start";
-    case EventKind::kPartitionEnd: return "sim.event:partition-end";
-    case EventKind::kLossBurstStart: return "sim.event:loss-burst-start";
-    case EventKind::kLossBurstEnd: return "sim.event:loss-burst-end";
-    case EventKind::kCorruptionStart: return "sim.event:corruption-start";
-    case EventKind::kCorruptionEnd: return "sim.event:corruption-end";
-    case EventKind::kCheckpoint: return "sim.event:checkpoint";
-    case EventKind::kCorruptArrival: return "sim.event:corrupt-arrival";
-    case EventKind::kOtaEpoch: return "sim.event:ota-epoch";
-    case EventKind::kOtaChunkArrival: return "sim.event:ota-chunk-arrival";
-    case EventKind::kOtaResume: return "sim.event:ota-resume";
-    case EventKind::kOtaReportArrival: return "sim.event:ota-report-arrival";
-    case EventKind::kOtaVerdict: return "sim.event:ota-verdict";
-    case EventKind::kOtaControlArrival: return "sim.event:ota-control-arrival";
-    case EventKind::kLoadStormStart: return "sim.event:load-storm-start";
-    case EventKind::kLoadStormEnd: return "sim.event:load-storm-end";
-    case EventKind::kStormFlush: return "sim.event:storm-flush";
-    case EventKind::kSummaryArrival: return "sim.event:summary-arrival";
-  }
-  return "sim.event:?";
-}
-
 /// Degrade summaries number their traces in a range of their own (top bit
 /// set), so the ladder's choices never shift the trace ids of row,
 /// artifact, prediction and patch frames, which flight notes carry.
@@ -299,7 +258,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
 
   edge_buffers_.resize(config.edges);
   edge_checkpoints_.resize(config.edges);
-  device_sf_.resize(config.devices);
+  backlogs_.resize(config.devices);
   device_scored_.assign(config.devices, 0);
   artifact_seen_.assign(topo_.num_nodes(), 0);
   pred_seen_.resize(topo_.num_nodes());
@@ -325,10 +284,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   if (config.telemetry.enabled) {
     tdf_session_open_.assign(config.devices, 0);
     tdf_seq_.assign(config.devices, 0);
-    device_logs_.reserve(config.devices);
-    for (std::size_t d = 0; d < config.devices; ++d) {
-      device_logs_.emplace_back(config.telemetry.device_log_bytes);
-    }
     report_.telemetry.enabled = true;
   }
 
@@ -572,7 +527,7 @@ void FleetSim::handle(const Event& event) {
       topo_.node(event.target).up = true;
       // Reconnect: drain the store-and-forward buffer right away instead of
       // waiting out the periodic flush schedule.
-      if (config_.device_buffer_rows > 0 && !device_sf_[event.target].empty()) {
+      if (!backlogs_[event.target].chunks.empty()) {
         sched_.push(event.time_s, EventKind::kDeviceFlush, event.target);
       }
       break;
@@ -674,7 +629,8 @@ void FleetSim::handle_device_flush(const Event& event) {
   device_cursor_[d] = end;
   const std::size_t count = end - begin;
   const bool sf = config_.device_buffer_rows > 0;
-  if (count == 0 && (!sf || device_sf_[d].empty())) return;
+  Backlog& backlog = backlogs_[d];
+  if (count == 0 && backlog.chunks.empty()) return;
   if (!topo_.node(d).up && !sf) {
     // Churn, legacy accounting: the device was offline when its report
     // window closed and has no store-and-forward buffer — the window's
@@ -694,7 +650,6 @@ void FleetSim::handle_device_flush(const Event& event) {
     for (const StageReport& r : tiers_.device.reports()) {
       report_.stage_reports.push_back(r);
     }
-    out.row_count = chunk.rows();
     out.rows = std::move(chunk);
     out.origin_s = {event.time_s};
     // The window's birth certificate: every downstream frame carrying these
@@ -702,65 +657,52 @@ void FleetSim::handle_device_flush(const Event& event) {
     // reconstruct the device -> edge -> core journey after batching.
     out.parents = {next_trace_++};
     journey_origin(out.parents.front(), obs::HopStream::kRows, d, event.time_s,
-                   out.row_count, 0);
+                   out.rows.rows(), 0);
     if (obsy_) {
-      obsy_->flight().note(d, event.time_s, "flush", out.row_count);
+      obsy_->flight().note(d, event.time_s, "flush", out.rows.rows());
       if (flush_rows_series_ == nullptr) {
         flush_rows_series_ = &obsy_->series().series("flush.rows", "fleet", "device");
       }
-      flush_rows_series_->record(event.time_s, static_cast<double>(out.row_count));
+      flush_rows_series_->record(event.time_s, static_cast<double>(out.rows.rows()));
     }
   }
   if (!topo_.node(d).up) {
     // Reaching here offline implies sf: the bufferless case returned above.
-    if (out.row_count > 0) {
-      if (telemetry_on()) {
-        telemetry_store(d, std::move(out));
-      } else {
-        store_and_forward(d, std::move(out));
-      }
-    }
+    if (out.rows.rows() > 0) store(d, std::move(out));
     return;
   }
 
   // Online: drain the store-and-forward backlog (oldest first) together
-  // with the fresh window as one uplink message.
+  // with the fresh window as one uplink message, re-encoded by send().
   Buffer merged;
-  if (sf) {
-    while (!device_sf_[d].empty()) {
-      Buffer& pending = device_sf_[d].front();
-      merged.rows.append_rows(pending.rows);
-      merged.origin_s.insert(merged.origin_s.end(), pending.origin_s.begin(),
-                             pending.origin_s.end());
-      merged.parents.insert(merged.parents.end(), pending.parents.begin(),
-                            pending.parents.end());
-      merged.row_count += pending.row_count;
-      device_sf_[d].pop_front();
-    }
-    if (obsy_ && merged.row_count > 0) {
-      obsy_->flight().note(d, event.time_s, "sf-drain", merged.row_count);
-    }
-    // A full drain empties the ring log with it: the backlog leaves as one
-    // merged frame, re-encoded by send().
-    if (telemetry_on()) device_logs_[d].clear();
+  for (const Backlog::Chunk& pending : backlog.chunks) {
+    const Buffer& b = pending.buffer;
+    merged.rows.append_rows(b.rows);
+    merged.origin_s.insert(merged.origin_s.end(), b.origin_s.begin(), b.origin_s.end());
+    merged.parents.insert(merged.parents.end(), b.parents.begin(), b.parents.end());
   }
-  if (out.row_count > 0) {
+  backlog.chunks.clear();
+  backlog.rows = 0;
+  backlog.bytes = 0;
+  if (obsy_ && merged.rows.rows() > 0) {
+    obsy_->flight().note(d, event.time_s, "sf-drain", merged.rows.rows());
+  }
+  if (out.rows.rows() > 0) {
     merged.rows.append_rows(out.rows);
     merged.origin_s.insert(merged.origin_s.end(), out.origin_s.begin(),
                            out.origin_s.end());
     merged.parents.insert(merged.parents.end(), out.parents.begin(), out.parents.end());
-    merged.row_count += out.row_count;
   }
-  if (merged.row_count == 0) return;
+  if (merged.rows.rows() == 0) return;
   send(d, std::move(merged), event.time_s);
 }
 
 void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   Buffer& buf = edge_buffers_[edge_index];
-  if (buf.row_count == 0) return;
+  if (buf.rows.rows() == 0) return;
   const net::NodeId e = topo_.edge(edge_index);
   if (obsy_) {
-    record_series(NodeSeries::kBufferRows, e, now_s, static_cast<double>(buf.row_count));
+    record_series(NodeSeries::kBufferRows, e, now_s, static_cast<double>(buf.rows.rows()));
   }
   if (!topo_.node(e).up) return;  // hold the buffer until the edge recovers
 
@@ -797,7 +739,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
     // ledgered confidence interval standing in for them.
     degrade_sample_window(edge_index, now_s);
   } else if (degrade_on()) {
-    report_.degradation.rows_exact += buf.row_count;
+    report_.degradation.rows_exact += buf.rows.rows();
     ++report_.degradation.windows_exact;
   }
 
@@ -810,7 +752,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   integ.stage_name = "integration";
   integ.player = "edge-operator";
   integ.tier = Tier::kEdge;
-  integ.rows_in = buf.row_count;
+  integ.rows_in = buf.rows.rows();
   integ.rows_out = merged.rows();
   integ.columns_out = merged.num_columns();
   integ.missing_rate_in = merged.missing_rate();
@@ -826,11 +768,10 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   }
 
   Buffer out;
-  out.row_count = merged.rows();
   out.rows = std::move(merged);
   out.origin_s = std::move(buf.origin_s);
   out.parents = std::move(buf.parents);
-  if (obsy_) obsy_->flight().note(e, now_s, "edge-flush", out.row_count);
+  if (obsy_) obsy_->flight().note(e, now_s, "edge-flush", out.rows.rows());
   buf = Buffer{};
   // The flush ships these rows upstream, so the checkpoint covering them is
   // retired with the buffer — a later restore must never resurrect rows
@@ -871,7 +812,7 @@ approx::DegradeSignals FleetSim::degrade_signals(std::size_t edge_index,
     std::uint64_t total = 0;
     std::size_t fleet = 0;
     for (std::size_t i = edge_index; i < config_.devices; i += config_.edges) {
-      total += stored_rows(topo_.device(i));
+      total += backlogs_[topo_.device(i)].rows;
       ++fleet;
     }
     degrade_sf_highwater_[edge_index] =
@@ -885,8 +826,8 @@ approx::DegradeSignals FleetSim::degrade_signals(std::size_t edge_index,
 
   // Checkpoint lag: rows buffered beyond what the last checkpoint covers.
   if (config_.checkpoint_interval_s > 0.0) {
-    const std::size_t buffered = edge_buffers_[edge_index].row_count;
-    const std::size_t persisted = edge_checkpoints_[edge_index].row_count;
+    const std::size_t buffered = edge_buffers_[edge_index].rows.rows();
+    const std::size_t persisted = edge_checkpoints_[edge_index].rows.rows();
     const std::size_t lag = buffered > persisted ? buffered - persisted : 0;
     s.checkpoint_lag = static_cast<double>(lag) /
                        static_cast<double>(config_.degrade.checkpoint_lag_rows);
@@ -939,7 +880,7 @@ double column_mean(const data::Column& col, std::size_t rows, std::size_t& n) {
 
 void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
   Buffer& buf = edge_buffers_[edge_index];
-  const std::size_t population = buf.row_count;
+  const std::size_t population = buf.rows.rows();
   auto& d = report_.degradation;
 
   // Strata must tile the buffer exactly; anything else (defensive — e.g. a
@@ -1024,7 +965,6 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
 
   Buffer kept;
   kept.rows = buf.rows.select_rows(keep);
-  kept.row_count = keep.size();
   kept.origin_s = std::move(buf.origin_s);
   kept.parents = std::move(buf.parents);
   buf = std::move(kept);  // the sampled window is one run now; strata reset
@@ -1041,7 +981,7 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
 void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
                                      int level) {
   Buffer& buf = edge_buffers_[edge_index];
-  const std::size_t population = buf.row_count;
+  const std::size_t population = buf.rows.rows();
   const net::NodeId e = topo_.edge(edge_index);
   auto& d = report_.degradation;
   const std::int64_t start_us = obs::now_us();
@@ -1249,7 +1189,7 @@ void FleetSim::finalize_degradation() {
 void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const std::size_t link_index = topo_.uplink_index(from);
   const net::NodeId to = topo_.next_hop(from);
-  const std::size_t rows = chunk.row_count;
+  const std::size_t rows = chunk.rows.rows();
   const bool from_device = from < config_.devices;
   const bool ack = config_.channel.mode == net::ChannelMode::kAckRetry;
 
@@ -1301,15 +1241,10 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     if (from_device) {
       if (config_.device_buffer_rows > 0) {
         Buffer back;
-        back.row_count = rows;
         back.rows = std::move(msg.payload);
         back.origin_s = std::move(msg.origin_s);
         back.parents = std::move(parents);
-        if (telemetry_on()) {
-          telemetry_store(from, std::move(back));
-        } else {
-          store_and_forward(from, std::move(back));
-        }
+        store(from, std::move(back));
       } else if (dead_letter) {
         report_.faults.rows_buffer_evicted += rows;
       } else {
@@ -1317,14 +1252,12 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       }
     } else {
       Buffer& buf = edge_buffers_[from - config_.devices];
+      if (degrade_on()) {
+        buf.strata.push_back({static_cast<std::uint32_t>(from), buf.rows.rows(), rows});
+      }
       buf.rows.append_rows(msg.payload);
       buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
       buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
-      if (degrade_on()) {
-        buf.strata.push_back(
-            {static_cast<std::uint32_t>(from), buf.row_count, rows});
-      }
-      buf.row_count += rows;
     }
   };
   auto note_send = [&](const char* outcome) {
@@ -1509,7 +1442,6 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
     }
     report_.rows_delivered += msg.payload.rows();
     core_buffer_.rows.append_rows(msg.payload);
-    core_buffer_.row_count += msg.payload.rows();
   } else {
     lat_device_edge_.record(hop_latency_s);
     if (obsy_) {
@@ -1519,6 +1451,10 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
              static_cast<double>(msg.payload.rows()));
     }
     Buffer& buf = edge_buffers_[node - config_.devices];
+    if (degrade_on()) {
+      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.rows.rows(),
+                            msg.payload.rows()});
+    }
     if (!msg.tdf_frame.empty()) {
       // The decode is load-bearing: the edge reconstructs the rows from the
       // wire bytes and feeds *those* into its sub-pipeline. The
@@ -1538,11 +1474,6 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
       buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
     }
     buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
-    if (degrade_on()) {
-      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.row_count,
-                            msg.payload.rows()});
-    }
-    buf.row_count += msg.payload.rows();
   }
 }
 
@@ -1576,7 +1507,7 @@ void FleetSim::handle_checkpoint(std::size_t edge_index) {
   obs::registry().counter("sim.recovery.checkpoints_written").add();
   if (obsy_) {
     obsy_->flight().note(topo_.edge(edge_index), sched_.now_s(), "checkpoint",
-                         buf.row_count);
+                         buf.rows.rows());
   }
 }
 
@@ -1593,9 +1524,9 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   // last checkpoint is gone. The checkpoint itself is durable storage.
   Buffer& buf = edge_buffers_[edge_index];
   const std::size_t persisted =
-      std::min(edge_checkpoints_[edge_index].row_count, buf.row_count);
-  report_.faults.rows_lost_to_crash += buf.row_count - persisted;
-  obs::registry().counter("sim.faults.rows_lost_to_crash").add(buf.row_count - persisted);
+      std::min(edge_checkpoints_[edge_index].rows.rows(), buf.rows.rows());
+  report_.faults.rows_lost_to_crash += buf.rows.rows() - persisted;
+  obs::registry().counter("sim.faults.rows_lost_to_crash").add(buf.rows.rows() - persisted);
   buf = Buffer{};
 }
 
@@ -1604,15 +1535,15 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   if (n.up) return;  // already restarted (overlapping crash windows)
   n.up = true;
   const Buffer& ckpt = edge_checkpoints_[edge_index];
-  if (ckpt.row_count == 0) return;
+  if (ckpt.rows.rows() == 0) return;
   Buffer& buf = edge_buffers_[edge_index];
-  IOTML_INTERNAL_CHECK(buf.row_count == 0,
+  IOTML_INTERNAL_CHECK(buf.rows.rows() == 0,
                        "FleetSim: restart over a live edge buffer");
   buf = ckpt;
   ++report_.faults.checkpoints_restored;
-  report_.faults.rows_recovered += ckpt.row_count;
+  report_.faults.rows_recovered += ckpt.rows.rows();
   obs::registry().counter("sim.recovery.checkpoints_restored").add();
-  obs::registry().counter("sim.recovery.rows_recovered").add(ckpt.row_count);
+  obs::registry().counter("sim.recovery.rows_recovered").add(ckpt.rows.rows());
 }
 
 void FleetSim::set_partition(bool on) {
@@ -1662,37 +1593,6 @@ void FleetSim::set_corruption_storm(bool on) {
   }
 }
 
-void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
-  std::deque<Buffer>& q = device_sf_[device];
-  q.push_back(std::move(chunk));
-  const std::size_t cap = config_.device_buffer_rows;
-  std::size_t total = stored_rows(device);
-  // Bounded buffer, oldest-first eviction: whole chunks while more than one
-  // remains, then rows off the front of the survivor if it alone overflows.
-  while (total > cap && q.size() > 1) {
-    report_.faults.rows_buffer_evicted += q.front().row_count;
-    obs::registry().counter("sim.recovery.rows_evicted").add(q.front().row_count);
-    total -= q.front().row_count;
-    q.pop_front();
-  }
-  if (total > cap) {
-    Buffer& b = q.front();
-    const std::size_t drop = total - cap;
-    std::vector<std::size_t> keep(b.row_count - drop);
-    std::iota(keep.begin(), keep.end(), drop);
-    b.rows = b.rows.select_rows(keep);
-    b.row_count -= drop;
-    report_.faults.rows_buffer_evicted += drop;
-    obs::registry().counter("sim.recovery.rows_evicted").add(drop);
-  }
-}
-
-std::size_t FleetSim::stored_rows(net::NodeId device) const {
-  std::size_t total = 0;
-  for (const Buffer& b : device_sf_[device]) total += b.row_count;
-  return total;
-}
-
 std::vector<std::uint8_t> FleetSim::telemetry_encode(
     net::NodeId device, const data::Dataset& ds,
     const std::vector<double>& origin_s) {
@@ -1712,39 +1612,42 @@ std::vector<std::uint8_t> FleetSim::telemetry_encode(
                            tdf_seq_[device]++, include_schema);
 }
 
-void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
-  // Quantize on entry so the sizing encode sees exactly what a later send
-  // re-encodes (quantization is idempotent).
-  tdf::quantize(chunk.rows, config_.telemetry.scale_bits);
-  for (double& o : chunk.origin_s) {
-    o = tdf::quantize_value(o, config_.telemetry.scale_bits);
+void FleetSim::store(net::NodeId device, Buffer&& chunk) {
+  Backlog& backlog = backlogs_[device];
+  std::size_t bytes = 0;
+  if (telemetry_on()) {
+    // Quantize on entry so the sizing encode sees exactly what a later send
+    // re-encodes (quantization is idempotent).
+    tdf::quantize(chunk.rows, config_.telemetry.scale_bits);
+    for (double& o : chunk.origin_s) {
+      o = tdf::quantize_value(o, config_.telemetry.scale_bits);
+    }
+    bytes = telemetry_encode(device, chunk.rows, chunk.origin_s).size();
   }
-  const std::vector<std::uint8_t> frame =
-      telemetry_encode(device, chunk.rows, chunk.origin_s);
-  const std::size_t rows = chunk.row_count;
-  std::deque<Buffer>& q = device_sf_[device];
-  tdf::DeviceLog& log = device_logs_[device];
-  q.push_back(std::move(chunk));
-  auto& t = report_.telemetry;
-  auto drop_front = [&](std::size_t rows_evicted) {
-    IOTML_INTERNAL_CHECK(
-        !q.empty() && q.front().row_count == rows_evicted,
-        "FleetSim: telemetry ring log out of step with store-and-forward");
-    ++t.log_frames_evicted;
-    t.log_rows_evicted += rows_evicted;
-    report_.faults.rows_buffer_evicted += rows_evicted;
-    obs::registry().counter("sim.recovery.rows_evicted").add(rows_evicted);
-    q.pop_front();
+  backlog.rows += chunk.rows.rows();
+  backlog.bytes += bytes;
+  backlog.chunks.push_back({std::move(chunk), bytes});
+  auto evict_oldest = [&] {
+    const Backlog::Chunk& oldest = backlog.chunks.front();
+    const std::size_t rows = oldest.buffer.rows.rows();
+    backlog.rows -= rows;
+    backlog.bytes -= oldest.bytes;
+    if (telemetry_on()) {
+      ++report_.telemetry.log_frames_evicted;
+      report_.telemetry.log_rows_evicted += rows;
+    }
+    report_.faults.rows_buffer_evicted += rows;
+    obs::registry().counter("sim.recovery.rows_evicted").add(rows);
+    backlog.chunks.pop_front();
   };
-  // Byte bound: the ring evicts whole oldest frames until the new one fits.
-  for (const tdf::DeviceLog::Entry& e : log.append(frame.size(), rows)) {
-    drop_front(e.rows);
+  // A chunk is the unit of the backlog (a flash ring cannot ship half a
+  // frame), so the newest one stays whole even when it alone is over a bound.
+  while (backlog.bytes > config_.telemetry.device_log_bytes && backlog.chunks.size() > 1) {
+    evict_oldest();
   }
-  // The legacy row cap still applies, at whole-frame granularity — the log
-  // pops in lockstep so bytes and rows stay two views of the same backlog.
-  const std::size_t cap = config_.device_buffer_rows;
-  while (stored_rows(device) > cap && q.size() > 1) {
-    drop_front(log.pop_oldest().rows);
+  backlog.highwater_bytes = std::max(backlog.highwater_bytes, backlog.bytes);
+  while (backlog.rows > config_.device_buffer_rows && backlog.chunks.size() > 1) {
+    evict_oldest();
   }
 }
 
@@ -1831,17 +1734,13 @@ void FleetSim::record_series(NodeSeries which, net::NodeId node, double t_s, dou
 }
 
 void FleetSim::finalize() {
-  if (telemetry_on()) {
-    for (const tdf::DeviceLog& log : device_logs_) {
-      report_.telemetry.log_highwater_bytes = std::max<std::uint64_t>(
-          report_.telemetry.log_highwater_bytes, log.highwater_bytes());
-    }
-  }
-  for (const Buffer& buf : edge_buffers_) report_.rows_stranded += buf.row_count;
-  // Undrained store-and-forward backlog is the device-side mirror of an
-  // edge's stranded buffer.
-  for (std::size_t dvc = 0; dvc < config_.devices; ++dvc) {
-    report_.rows_stranded += stored_rows(dvc);
+  for (const Buffer& buf : edge_buffers_) report_.rows_stranded += buf.rows.rows();
+  // An undrained backlog is the device-side mirror of an edge's stranded
+  // buffer. Without telemetry every backlog weighs 0 bytes.
+  for (const Backlog& backlog : backlogs_) {
+    report_.rows_stranded += backlog.rows;
+    report_.telemetry.log_highwater_bytes = std::max<std::uint64_t>(
+        report_.telemetry.log_highwater_bytes, backlog.highwater_bytes);
   }
   // Deploy runs keep post-window rows on-device for local scoring; they are
   // accounted as retained, not lost.
@@ -1850,7 +1749,7 @@ void FleetSim::finalize() {
       report_.faults.rows_retained += device_data_[dvc].rows() - device_cursor_[dvc];
     }
   }
-  if (core_buffer_.row_count == 0) return;
+  if (core_buffer_.rows.rows() == 0) return;
 
   const data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
   for (const StageReport& r : tiers_.core.reports()) {
@@ -1965,7 +1864,6 @@ void FleetSim::prepare_deploy() {
   // The broadcast ships the real encoded bytes, framed like any message.
   artifact_wire_bytes_ = net::kMessageHeaderBytes + d.artifact_bytes_deployed;
   device_runtime_.emplace(deployed_model_);
-  deploy_ready_ = true;
 
   if (config_.deploy.stale_fallback) {
     // The prior epoch's artifact: what the previous deployment round would
@@ -1985,14 +1883,13 @@ void FleetSim::prepare_deploy() {
                                      &stale_model_);
       }
       stale_runtime_.emplace(stale_model_);
-      stale_ready_ = true;
     }
   }
 }
 
 void FleetSim::run_deploy_phase() {
   prepare_deploy();
-  if (deploy_ready_) {
+  if (device_runtime_) {
     const double t0 = std::max(sched_.now_s(), config_.duration_s);
     sched_.push(t0, EventKind::kDeployBroadcast, topo_.core());
     if (config_.chaos.crash_during_broadcast && config_.edges > 0) {
@@ -2006,7 +1903,7 @@ void FleetSim::run_deploy_phase() {
     }
     while (!sched_.empty()) handle(sched_.pop());
   }
-  if (stale_ready_) {
+  if (stale_runtime_) {
     // Degraded mode: every online device the fresh broadcast never reached
     // serves the prior epoch's artifact; staleness is ledgered.
     const double t1 = std::max(sched_.now_s(), config_.duration_s);
@@ -2158,9 +2055,9 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   // One bit per prediction on the wire, plus a u32 row count. Ground truth
   // never travels: the core evaluates against labels it already knows.
   batch.wire_bytes = net::kMessageHeaderBytes + 4 + (count + 7) / 8;
+  batch.trace = next_trace_++;
   pred_batches_.push_back(batch);
-  pred_traces_.push_back(next_trace_++);
-  journey_origin(pred_traces_.back(), obs::HopStream::kPredictions, device, now_s, count,
+  journey_origin(batch.trace, obs::HopStream::kPredictions, device, now_s, count,
                  batch.wire_bytes);
   if (obsy_) {
     obsy_->flight().note(device, now_s, stale ? "score-stale" : "score", count);
@@ -2179,7 +2076,7 @@ void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_
                   .dst = topo_.next_hop(from),
                   .bytes = bytes,
                   .rows = pred_batches_[batch].rows,
-                  .parents = {&pred_traces_[batch], 1},
+                  .parents = {&pred_batches_[batch].trace, 1},
                   .arrival = EventKind::kPredictionArrival,
                   .message = batch},
                  now_s);
@@ -2193,27 +2090,26 @@ void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_
 void FleetSim::handle_prediction_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const std::uint32_t hop = node == topo_.core() ? 1 : 0;
+  const PredBatch& batch = pred_batches_[event.message];
   if (!pred_seen_[node].insert(event.message).second) {
     obs::registry().counter("deploy.duplicates_discarded").add();
-    journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop,
-                   node, event.time_s, pred_batches_[event.message].rows, "duplicate");
+    journey_arrive(batch.trace, obs::HopStream::kPredictions, hop, node, event.time_s,
+                   batch.rows, "duplicate");
     return;
   }
   if (node == topo_.core()) {
-    const PredBatch& batch = pred_batches_[event.message];
     report_.deploy.predictions_delivered += batch.rows;
     report_.deploy.predictions_correct += batch.correct;
     obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
-    journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop,
-                   node, event.time_s, batch.rows, "accepted");
+    journey_arrive(batch.trace, obs::HopStream::kPredictions, hop, node, event.time_s,
+                   batch.rows, "accepted");
     if (obsy_) {
       obsy_->flight().note(node, event.time_s, "rx-predictions", batch.rows);
     }
     return;
   }
-  journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop, node,
-                 event.time_s, pred_batches_[event.message].rows,
-                 topo_.node(node).up ? "accepted" : "dead_receiver");
+  journey_arrive(batch.trace, obs::HopStream::kPredictions, hop, node, event.time_s,
+                 batch.rows, topo_.node(node).up ? "accepted" : "dead_receiver");
   if (!topo_.node(node).up) return;  // stranded at a down edge
   send_predictions(node, event.message, event.time_s);
 }
@@ -2264,7 +2160,7 @@ void FleetSim::handle_ota_epoch(const Event& event) {
     entry.outcome = "core-down";
     return;
   }
-  if (core_buffer_.row_count < config_.ota.min_train_rows) {
+  if (core_buffer_.rows.rows() < config_.ota.min_train_rows) {
     entry.outcome = "no-data";
     return;
   }

@@ -33,7 +33,6 @@
 #include "sim/report.hpp"
 #include "sim/scheduler.hpp"
 #include "tdf/codec.hpp"
-#include "tdf/device_log.hpp"
 #include "tdf/schema.hpp"
 #include "util/rng.hpp"
 
@@ -105,9 +104,10 @@ struct TelemetryConfig {
   /// engage. Must be ≤ 52 (checked by FleetSim).
   std::uint8_t scale_bits = 8;
 
-  /// Capacity of the on-device ring log that holds encoded frames while the
-  /// device is offline (meshes with store-and-forward; active only when
-  /// device_buffer_rows > 0). Overflow evicts whole frames oldest-first.
+  /// Byte bound of each device's store-and-forward backlog, counted in
+  /// encoded frame bytes (active only when device_buffer_rows > 0). Over it,
+  /// whole frames leave oldest first; the newest stays even when it alone
+  /// is over. Must be >= 1 (checked by FleetSim).
   std::size_t device_log_bytes = 16384;
 };
 
@@ -193,10 +193,12 @@ struct FleetConfig {
   double checkpoint_interval_s = 0.0;
 
   /// Device store-and-forward capacity in rows; 0 disables. A device that is
-  /// offline at flush time — or whose ack-mode send fails — buffers the
-  /// window locally and drains it on reconnect instead of dropping it
-  /// (legacy rows_skipped). Overflow evicts oldest-first into
-  /// FaultLedger::rows_buffer_evicted.
+  /// offline at flush time — or whose send the channel refuses or, in ack
+  /// mode, cannot deliver — keeps the window in its backlog and drains it on
+  /// reconnect instead of dropping it (legacy rows_skipped). Over the cap,
+  /// whole chunks leave oldest first into FaultLedger::rows_buffer_evicted;
+  /// the newest chunk stays even when it alone is over. Telemetry runs also
+  /// bound the backlog by TelemetryConfig::device_log_bytes.
   std::size_t device_buffer_rows = 0;
 
   double sensor_period_s = 0.5;  ///< nominal sampling period per sensor
@@ -278,7 +280,6 @@ class FleetSim {
   struct Buffer {
     data::Dataset rows;
     std::vector<double> origin_s;
-    std::size_t row_count = 0;
     /// Origin-window trace ids folded into `rows`, in fold order — the
     /// causal provenance the journey log needs to survive edge batching,
     /// store-and-forward and checkpoint restore.
@@ -348,8 +349,28 @@ class FleetSim {
   void set_partition(bool on);
   void set_loss_burst(bool on);
   void set_corruption_storm(bool on);
-  void store_and_forward(net::NodeId device, Buffer&& chunk);
-  std::size_t stored_rows(net::NodeId device) const;
+
+  /// One device's store-and-forward backlog: the chunks that missed the
+  /// uplink, oldest first, with running totals over them.
+  struct Backlog {
+    struct Chunk {
+      Buffer buffer;
+      std::size_t bytes = 0;  ///< encoded TDF frame size; 0 without telemetry
+    };
+    std::deque<Chunk> chunks;
+    std::size_t rows = 0;
+    std::size_t bytes = 0;
+    /// Largest `bytes` after a store's byte-bound eviction; a drain does
+    /// not reset it.
+    std::size_t highwater_bytes = 0;
+  };
+  /// Buffers a chunk that missed the uplink (offline at flush, or a failed
+  /// send) in `device`'s backlog: the only place a device chunk is stored or
+  /// evicted. In telemetry runs the chunk is quantized and sized by its
+  /// encoded frame. Whole chunks then leave oldest first, the newest always
+  /// kept: while the bytes exceed telemetry.device_log_bytes, then (after
+  /// the high-water is sampled) while the rows exceed device_buffer_rows.
+  void store(net::NodeId device, Buffer&& chunk);
 
   // Telemetry wire path (config_.telemetry.enabled; see DESIGN.md §15).
   bool telemetry_on() const noexcept { return config_.telemetry.enabled; }
@@ -359,11 +380,6 @@ class FleetSim {
   std::vector<std::uint8_t> telemetry_encode(net::NodeId device,
                                              const data::Dataset& ds,
                                              const std::vector<double>& origin_s);
-  /// Buffer an offline/failed chunk through the device's ring log:
-  /// store-and-forward keeps the rows, the log accounts the encoded bytes,
-  /// and overflow evicts whole frames oldest-first (byte bound first, then
-  /// the legacy row cap) keeping both structures in lockstep.
-  void telemetry_store(net::NodeId device, Buffer&& chunk);
 
   // Deploy phase (config_.deploy.enabled): compile at the core, broadcast
   // down, score on-device, uplink predictions.
@@ -502,14 +518,13 @@ class FleetSim {
   std::vector<obs::Counter*> link_bytes_;
 
   std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
-  std::vector<std::deque<Buffer>> device_sf_;  ///< store-and-forward chunks
+  std::vector<Backlog> backlogs_;         ///< per device
 
   // ---- Telemetry wire state (empty unless config_.telemetry.enabled) ----
   tdf::SchemaRegistry tdf_registry_;       ///< edge-side schemas, keyed by id
   std::optional<tdf::Schema> tdf_schema_;  ///< the fleet's uplink schema
   std::vector<std::uint8_t> tdf_session_open_;  ///< device: schema delivered
   std::vector<std::uint32_t> tdf_seq_;          ///< per-device frame sequence
-  std::vector<tdf::DeviceLog> device_logs_;     ///< per-device encoded ring
   bool partitioned_ = false;
   std::vector<std::uint8_t> core_link_;  ///< link index -> is edge<->core
   /// Pre-chaos drop/corrupt probabilities of every link, captured at start
@@ -525,23 +540,21 @@ class FleetSim {
     std::size_t rows = 0;
     std::size_t correct = 0;
     std::size_t wire_bytes = 0;
+    std::uint64_t trace = 0;  ///< journey trace id
   };
 
   data::Dataset deploy_train_, deploy_test_;  ///< core split, kept for compile
   deploy::CompiledModel deployed_model_;
-  std::optional<deploy::DeviceRuntime> device_runtime_;
-  bool deploy_ready_ = false;
+  std::optional<deploy::DeviceRuntime> device_runtime_;  ///< set once compiled
   std::size_t artifact_wire_bytes_ = 0;
   std::vector<PredBatch> pred_batches_;
-  std::vector<std::uint64_t> pred_traces_;  ///< batch trace ids, parallel
   std::uint64_t broadcast_trace_ = 0;       ///< deploy broadcast trace id
   std::vector<std::uint8_t> artifact_seen_;  ///< dedup duplicate broadcasts
   // det-sanctioned: membership-only dedup set per edge, never iterated
   std::vector<std::unordered_set<std::uint64_t>> pred_seen_;
 
   deploy::CompiledModel stale_model_;  ///< prior epoch's artifact (fallback)
-  std::optional<deploy::DeviceRuntime> stale_runtime_;
-  bool stale_ready_ = false;
+  std::optional<deploy::DeviceRuntime> stale_runtime_;  ///< set once compiled
   std::vector<std::uint8_t> device_scored_;  ///< device index -> fresh artifact scored
 
   // ---- OTA delta-update state (empty unless config_.ota.enabled) --------

@@ -1,29 +1,10 @@
 #include "sim/report.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/json.hpp"
 
 namespace iotml::sim {
-
-LatencySummary LatencySummary::from_samples(std::vector<double> samples) {
-  LatencySummary s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  s.count = samples.size();
-  double sum = 0.0;
-  for (double v : samples) sum += v;
-  s.mean_s = sum / static_cast<double>(samples.size());
-  auto nearest_rank = [&](double q) {
-    const auto rank = static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1) + 0.5);
-    return samples[std::min(rank, samples.size() - 1)];
-  };
-  s.p50_s = nearest_rank(0.50);
-  s.p95_s = nearest_rank(0.95);
-  s.max_s = samples.back();
-  return s;
-}
 
 LatencySummary LatencySummary::from_histogram(const obs::Histogram& hist) {
   LatencySummary s;

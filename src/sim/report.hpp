@@ -29,9 +29,6 @@ struct LatencySummary {
   double p95_s = 0.0;
   double max_s = 0.0;
 
-  /// Nearest-rank percentiles over a sorted copy of `samples`.
-  static LatencySummary from_samples(std::vector<double> samples);
-
   /// Interpolated percentiles from a fixed-bucket histogram — the O(buckets)
   /// replacement for keeping every sample.
   static LatencySummary from_histogram(const obs::Histogram& hist);
@@ -188,7 +185,7 @@ struct DeploySummary {
 /// Ledger of the telemetry wire subsystem (src/tdf/): what the device
 /// uplinks actually cost as encoded TDF frames versus the abstract legacy
 /// wire_size_bytes model for the same rows, how the frames fared on the
-/// wire, and how full the on-device ring logs ran. All-zero unless
+/// wire, and how full the device backlogs ran. All-zero unless
 /// FleetConfig::telemetry.enabled.
 struct TelemetrySummary {
   bool enabled = false;
@@ -209,9 +206,9 @@ struct TelemetrySummary {
   std::uint64_t encoded_wire_bytes = 0;  ///< header + frame, per accepted send
   std::uint64_t legacy_wire_bytes = 0;   ///< counterfactual: the abstract model
 
-  std::uint64_t log_frames_evicted = 0;   ///< ring overflow, whole frames
+  std::uint64_t log_frames_evicted = 0;   ///< backlog evictions, whole frames
   std::uint64_t log_rows_evicted = 0;
-  std::uint64_t log_highwater_bytes = 0;  ///< max ring occupancy, any device
+  std::uint64_t log_highwater_bytes = 0;  ///< max backlog bytes, any device
 
   /// Every edge decode re-hashed to the checksum stamped over the
   /// device-encoded rows. Asserted by FleetSim (IOTML_INTERNAL_CHECK);

@@ -7,42 +7,48 @@
 
 namespace iotml::sim {
 
-std::string_view event_kind_name(EventKind kind) noexcept {
+const char* event_span_name(EventKind kind) noexcept {
   switch (kind) {
-    case EventKind::kDeviceFlush: return "device-flush";
-    case EventKind::kEdgeFlush: return "edge-flush";
-    case EventKind::kArrival: return "arrival";
-    case EventKind::kLinkDown: return "link-down";
-    case EventKind::kLinkUp: return "link-up";
-    case EventKind::kDeviceDown: return "device-down";
-    case EventKind::kDeviceUp: return "device-up";
-    case EventKind::kDeployBroadcast: return "deploy-broadcast";
-    case EventKind::kArtifactArrival: return "artifact-arrival";
-    case EventKind::kPredictionArrival: return "prediction-arrival";
-    case EventKind::kEdgeCrash: return "edge-crash";
-    case EventKind::kEdgeRestart: return "edge-restart";
-    case EventKind::kCoreCrash: return "core-crash";
-    case EventKind::kCoreRestart: return "core-restart";
-    case EventKind::kPartitionStart: return "partition-start";
-    case EventKind::kPartitionEnd: return "partition-end";
-    case EventKind::kLossBurstStart: return "loss-burst-start";
-    case EventKind::kLossBurstEnd: return "loss-burst-end";
-    case EventKind::kCorruptionStart: return "corruption-start";
-    case EventKind::kCorruptionEnd: return "corruption-end";
-    case EventKind::kCheckpoint: return "checkpoint";
-    case EventKind::kCorruptArrival: return "corrupt-arrival";
-    case EventKind::kOtaEpoch: return "ota-epoch";
-    case EventKind::kOtaChunkArrival: return "ota-chunk-arrival";
-    case EventKind::kOtaResume: return "ota-resume";
-    case EventKind::kOtaReportArrival: return "ota-report-arrival";
-    case EventKind::kOtaVerdict: return "ota-verdict";
-    case EventKind::kOtaControlArrival: return "ota-control-arrival";
-    case EventKind::kLoadStormStart: return "load-storm-start";
-    case EventKind::kLoadStormEnd: return "load-storm-end";
-    case EventKind::kStormFlush: return "storm-flush";
-    case EventKind::kSummaryArrival: return "summary-arrival";
+    case EventKind::kDeviceFlush: return "sim.event:device-flush";
+    case EventKind::kEdgeFlush: return "sim.event:edge-flush";
+    case EventKind::kArrival: return "sim.event:arrival";
+    case EventKind::kLinkDown: return "sim.event:link-down";
+    case EventKind::kLinkUp: return "sim.event:link-up";
+    case EventKind::kDeviceDown: return "sim.event:device-down";
+    case EventKind::kDeviceUp: return "sim.event:device-up";
+    case EventKind::kDeployBroadcast: return "sim.event:deploy-broadcast";
+    case EventKind::kArtifactArrival: return "sim.event:artifact-arrival";
+    case EventKind::kPredictionArrival: return "sim.event:prediction-arrival";
+    case EventKind::kEdgeCrash: return "sim.event:edge-crash";
+    case EventKind::kEdgeRestart: return "sim.event:edge-restart";
+    case EventKind::kCoreCrash: return "sim.event:core-crash";
+    case EventKind::kCoreRestart: return "sim.event:core-restart";
+    case EventKind::kPartitionStart: return "sim.event:partition-start";
+    case EventKind::kPartitionEnd: return "sim.event:partition-end";
+    case EventKind::kLossBurstStart: return "sim.event:loss-burst-start";
+    case EventKind::kLossBurstEnd: return "sim.event:loss-burst-end";
+    case EventKind::kCorruptionStart: return "sim.event:corruption-start";
+    case EventKind::kCorruptionEnd: return "sim.event:corruption-end";
+    case EventKind::kCheckpoint: return "sim.event:checkpoint";
+    case EventKind::kCorruptArrival: return "sim.event:corrupt-arrival";
+    case EventKind::kOtaEpoch: return "sim.event:ota-epoch";
+    case EventKind::kOtaChunkArrival: return "sim.event:ota-chunk-arrival";
+    case EventKind::kOtaResume: return "sim.event:ota-resume";
+    case EventKind::kOtaReportArrival: return "sim.event:ota-report-arrival";
+    case EventKind::kOtaVerdict: return "sim.event:ota-verdict";
+    case EventKind::kOtaControlArrival: return "sim.event:ota-control-arrival";
+    case EventKind::kLoadStormStart: return "sim.event:load-storm-start";
+    case EventKind::kLoadStormEnd: return "sim.event:load-storm-end";
+    case EventKind::kStormFlush: return "sim.event:storm-flush";
+    case EventKind::kSummaryArrival: return "sim.event:summary-arrival";
   }
-  return "?";
+  return "sim.event:?";
+}
+
+std::string_view event_kind_name(EventKind kind) noexcept {
+  std::string_view name = event_span_name(kind);
+  name.remove_prefix(std::string_view("sim.event:").size());
+  return name;
 }
 
 void Scheduler::push(double time_s, EventKind kind, std::size_t target,

@@ -53,6 +53,13 @@ enum class EventKind {
   kSummaryArrival      ///< an approximate window summary reaches the core
 };
 
+/// "sim.event:" + the kind's event-log name: a string literal, so a span
+/// names itself with it and builds no string. perfbench folds spans by
+/// these names.
+const char* event_span_name(EventKind kind) noexcept;
+
+/// The kind as the event log prints it, e.g. "device-flush": the suffix of
+/// event_span_name(kind).
 std::string_view event_kind_name(EventKind kind) noexcept;
 
 inline constexpr std::size_t kNoMessage = static_cast<std::size_t>(-1);

@@ -84,7 +84,7 @@ std::pair<std::uint8_t, std::vector<std::uint8_t>> encode_stream(
 std::vector<double> decode_stream(ByteReader& r, std::uint8_t tag,
                                   std::uint8_t scale_bits, std::size_t count) {
   std::vector<double> values;
-  values.reserve(count);
+  values.reserve(r.count(count, 1));  // a varint is at least one byte
   if (tag == kTagRawBits) {
     std::uint64_t prev_bits = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -330,7 +330,7 @@ Frame decode_frame(const std::vector<std::uint8_t>& bytes, SchemaRegistry& regis
       IOTML_CHECK(tag == kTagCategorical, "tdf: bad tag for categorical column");
       const std::size_t dict_size = r.u16();
       std::vector<std::string> dict;
-      dict.reserve(dict_size);
+      dict.reserve(r.count(dict_size, 1));  // each label has a length byte
       for (std::size_t i = 0; i < dict_size; ++i) {
         const std::size_t len = r.u8();
         std::string label;

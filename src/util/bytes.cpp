@@ -53,6 +53,13 @@ void ByteReader::need(std::size_t n) const {
   IOTML_CHECK(n <= size_ - pos_, "ByteReader: truncated artifact (read past end)");
 }
 
+std::size_t ByteReader::count(std::uint64_t n, std::size_t min_bytes) const {
+  IOTML_CHECK(min_bytes >= 1, "ByteReader: element size must be positive");
+  IOTML_CHECK(n <= remaining() / min_bytes,
+              "ByteReader: element count exceeds the bytes left");
+  return static_cast<std::size_t>(n);
+}
+
 std::uint8_t ByteReader::u8() {
   need(1);
   return data_[pos_++];

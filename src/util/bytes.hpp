@@ -75,6 +75,11 @@ class ByteReader {
   std::uint64_t varint_u64();
   std::int64_t varint_i64();
 
+  /// `n`, once `n` elements of at least `min_bytes` each are known to fit
+  /// in the bytes left: decoders size buffers only from counts the input
+  /// can back. Throws InvalidArgument otherwise.
+  std::size_t count(std::uint64_t n, std::size_t min_bytes) const;
+
   std::size_t position() const noexcept { return pos_; }
   std::size_t remaining() const noexcept { return size_ - pos_; }
   bool done() const noexcept { return pos_ == size_; }

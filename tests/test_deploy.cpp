@@ -19,6 +19,7 @@
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "wire_mutation.hpp"
 
 namespace iotml::deploy {
 namespace {
@@ -180,6 +181,24 @@ TEST(DeployGolden, DecodeRejectsCorruption) {
   EXPECT_THROW(CompiledModel::decode(flipped), InvalidArgument);
 
   EXPECT_THROW(CompiledModel::decode({}), InvalidArgument);
+}
+
+// A u32 field of a golden artifact inflated to 0xFFFFFFFF past a re-stamped
+// trailer must not make the decoder size a tensor it cannot fill.
+TEST(DeployGolden, InflatedFieldsDecodeOrThrowInvalidArgument) {
+  for (ModelKind kind : kAllKinds) {
+    for (Precision precision : kAllPrecisions) {
+      const std::string path = golden_path(kind, precision);
+      SCOPED_TRACE(path);
+      const std::vector<std::uint8_t> golden = read_file(path);
+      ASSERT_FALSE(golden.empty());
+      EXPECT_EQ(wire_mutation::escapes(golden,
+                                       [](const std::vector<std::uint8_t>& bytes) {
+                                         CompiledModel::decode(bytes);
+                                       }),
+                std::vector<std::string>{});
+    }
+  }
 }
 
 TEST(DeployGolden, CostModelIsDeterministic) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "wire_mutation.hpp"
 
 namespace iotml::ota {
 namespace {
@@ -118,6 +120,21 @@ TEST(OtaPatch, GoldenWireBytes) {
       << "patch wire format drifted; if intentional, bump Patch::version "
          "and regenerate with IOTML_UPDATE_GOLDEN=1";
   EXPECT_EQ(Patch::decode(golden).apply(image_v1()), image_v2());
+}
+
+// A u32 field of the golden patch inflated to 0xFFFFFFFF past a re-stamped
+// trailer must not make decode or apply size a buffer its ops cannot fill.
+TEST(OtaPatch, InflatedFieldsDecodeOrThrowInvalidArgument) {
+  std::ifstream in(std::string(IOTML_GOLDEN_DIR) + "/ota_patch.bin", std::ios::binary);
+  const std::vector<std::uint8_t> golden((std::istreambuf_iterator<char>(in)),
+                                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(golden.empty());
+  const std::vector<std::uint8_t> base = image_v1();
+  EXPECT_EQ(wire_mutation::escapes(golden,
+                                   [&](const std::vector<std::uint8_t>& bytes) {
+                                     Patch::decode(bytes).apply(base);
+                                   }),
+            std::vector<std::string>{});
 }
 
 // ---- Chunked transfer --------------------------------------------------------

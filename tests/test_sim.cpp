@@ -92,6 +92,7 @@ TEST(Scheduler, EventKindNames) {
   EXPECT_EQ(event_kind_name(EventKind::kDeviceFlush), "device-flush");
   EXPECT_EQ(event_kind_name(EventKind::kArrival), "arrival");
   EXPECT_EQ(event_kind_name(EventKind::kLinkUp), "link-up");
+  EXPECT_STREQ(event_span_name(EventKind::kLinkUp), "sim.event:link-up");
 }
 
 // ---- Tier placement ----------------------------------------------------------
@@ -639,11 +640,12 @@ TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
 
 // Small fleets that between them cross every send site (rows, degrade
 // summaries, deploy artifacts and predictions, OTA chunks, probe reports
-// and rollback commands) in both channel modes. Each case pins the
-// FNV-1a-64 digests of its event log, its FleetReport JSON and, when the
-// observatory is on, its journeys.jsonl ("-" otherwise) in
-// golden/fleet_digest_grid.txt, so a change to the transport, the
-// simulator or the journey store that moves one byte of any fails here.
+// and rollback commands) in both channel modes, and each bound a device
+// backlog evicts by. Each case pins the FNV-1a-64 digests of its event
+// log, its FleetReport JSON and, when the observatory is on, its
+// journeys.jsonl ("-" otherwise) in golden/fleet_digest_grid.txt, so a
+// change to the transport, the simulator or the journey store that moves
+// one byte of any fails here.
 // Regenerate with IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour
 // change.
 struct GridCase {
@@ -709,6 +711,25 @@ FleetConfig straggler_config() {
   c.device_edge_link.duplicate_prob = 0.3;
   c.edge_core_link.duplicate_prob = 0.2;
   c.chaos.corruption_storms = 1.0;
+  return c;
+}
+
+// Churning devices flushing every second through two heavy loss bursts, so
+// device backlogs fill up and evict. Ack rows use short queues and few
+// attempts, so failed sends return their rows to the backlog too.
+FleetConfig backlog_config(std::uint64_t seed, bool ack, bool observatory) {
+  FleetConfig c = grid_fleet(seed, observatory);
+  c.duration_s = 24.0;
+  c.device_flush_s = 1.0;
+  c.faults.device_churns = 3.0;
+  c.faults.device_offtime_mean_s = 4.0;
+  c.chaos.loss_bursts = 2.0;
+  c.chaos.burst_drop_prob = 0.7;
+  if (ack) {
+    grid_ack(c);
+    c.channel.queue_capacity = 2;
+    c.channel.max_attempts = 3;
+  }
   return c;
 }
 
@@ -815,6 +836,43 @@ std::vector<GridCase> digest_grid() {
   grid.push_back({"ff-stragglers", straggler_config(), [](const FleetReport& r) {
                     return r.duplicates_discarded > 0 && r.faults.rows_corrupt_rejected > 0;
                   }});
+  {
+    FleetConfig c = backlog_config(1, true, false);
+    c.device_buffer_rows = 24;
+    grid.push_back({"backlog-row-cap-ack", c, [](const FleetReport& r) {
+                      return r.faults.rows_buffer_evicted > 0;
+                    }});
+  }
+  {
+    // The byte bound alone binds: the row cap is far above any backlog.
+    FleetConfig c = backlog_config(2, true, true);
+    c.telemetry.enabled = true;
+    c.telemetry.device_log_bytes = 128;
+    c.device_buffer_rows = 4096;
+    grid.push_back({"backlog-byte-bound-ack", c, [](const FleetReport& r) {
+                      return r.telemetry.log_frames_evicted > 0;
+                    }});
+  }
+  {
+    // The row cap alone binds: no backlog comes near the byte bound.
+    FleetConfig c = backlog_config(3, false, true);
+    c.telemetry.enabled = true;
+    c.telemetry.device_log_bytes = 4096;
+    c.device_buffer_rows = 8;
+    grid.push_back({"backlog-telemetry-row-cap-ff", c, [](const FleetReport& r) {
+                      return r.telemetry.log_frames_evicted > 0 &&
+                             r.telemetry.log_highwater_bytes < 4096;
+                    }});
+  }
+  {
+    // Failed sends return merged drains bigger than the cap; the backlog
+    // keeps such a chunk whole when it is the only one left.
+    FleetConfig c = backlog_config(2, true, false);
+    c.device_buffer_rows = 8;
+    grid.push_back({"backlog-whole-chunks-ack", c, [](const FleetReport& r) {
+                      return r.faults.rows_buffer_evicted > 0;
+                    }});
+  }
   return grid;
 }
 

@@ -1,9 +1,9 @@
 // The TDF telemetry wire stack: tagged-column frame encoding with a
 // once-per-session schema negotiation, quantization to the wire's
-// fixed-point resolution, the bounded on-device ring log, corruption
-// rejection through the FNV trailer, and the FleetSim integration — where
-// devices encode real frames, edges decode them back to rows, and the
-// row-conservation ledger must still close under compound chaos.
+// fixed-point resolution, corruption rejection through the FNV trailer, and
+// the FleetSim integration — where devices encode real frames, bound their
+// offline backlog by its encoded bytes, edges decode frames back to rows,
+// and the row-conservation ledger must still close under compound chaos.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,9 @@
 #include "net/message.hpp"
 #include "sim/fleet.hpp"
 #include "tdf/codec.hpp"
-#include "tdf/device_log.hpp"
 #include "tdf/schema.hpp"
 #include "util/error.hpp"
+#include "wire_mutation.hpp"
 
 namespace iotml::tdf {
 namespace {
@@ -255,6 +255,21 @@ TEST(TdfFrame, GoldenWireBytes) {
             net::payload_checksum(ds));
 }
 
+// A u32 field of the golden frame inflated to 0xFFFFFFFF past a re-stamped
+// trailer must not make the decoder size a buffer it cannot fill.
+TEST(TdfFrame, InflatedFieldsDecodeOrThrowInvalidArgument) {
+  std::ifstream in(std::string(IOTML_GOLDEN_DIR) + "/tdf_frame.bin", std::ios::binary);
+  const std::vector<std::uint8_t> golden((std::istreambuf_iterator<char>(in)),
+                                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(wire_mutation::escapes(golden,
+                                   [](const std::vector<std::uint8_t>& bytes) {
+                                     SchemaRegistry reg;
+                                     decode_frame(bytes, reg);
+                                   }),
+            std::vector<std::string>{});
+}
+
 // ---- Compression -------------------------------------------------------------
 
 TEST(TdfFrame, BatchedFrameBeatsLegacyModelAtHalf) {
@@ -286,46 +301,6 @@ TEST(TdfWireModel, NanCellsChargeExactlyLikeMissing) {
   b.push_numeric(2.5);
 
   EXPECT_EQ(net::wire_size_bytes(with_nan), net::wire_size_bytes(with_missing));
-}
-
-// ---- Device ring log ---------------------------------------------------------
-
-TEST(TdfDeviceLog, EvictsWholeFramesOldestFirst) {
-  DeviceLog log(100);
-  EXPECT_TRUE(log.append(40, 4).empty());
-  EXPECT_TRUE(log.append(30, 3).empty());
-  EXPECT_TRUE(log.append(30, 2).empty());
-  EXPECT_EQ(log.bytes(), 100u);
-  EXPECT_EQ(log.highwater_bytes(), 100u);
-
-  // 50 more bytes: the two oldest frames must go, in age order.
-  const std::vector<DeviceLog::Entry> evicted = log.append(50, 5);
-  ASSERT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(evicted[0].bytes, 40u);
-  EXPECT_EQ(evicted[0].rows, 4u);
-  EXPECT_EQ(evicted[1].bytes, 30u);
-  EXPECT_EQ(evicted[1].rows, 3u);
-  EXPECT_EQ(log.frames(), 2u);
-  EXPECT_EQ(log.bytes(), 80u);
-  EXPECT_EQ(log.frames_evicted(), 2u);
-  EXPECT_EQ(log.rows_evicted(), 7u);
-}
-
-TEST(TdfDeviceLog, NewestFrameSurvivesEvenWhenOversized) {
-  DeviceLog log(10);
-  EXPECT_TRUE(log.append(8, 1).empty());
-  const std::vector<DeviceLog::Entry> evicted = log.append(500, 9);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].bytes, 8u);
-  EXPECT_EQ(log.frames(), 1u);  // the oversized frame is kept whole
-  EXPECT_EQ(log.bytes(), 500u);
-  EXPECT_EQ(log.rows(), 9u);
-
-  const DeviceLog::Entry oldest = log.pop_oldest();
-  EXPECT_EQ(oldest.rows, 9u);
-  EXPECT_TRUE(log.empty());
-  EXPECT_THROW(log.pop_oldest(), InvalidArgument);
-  EXPECT_THROW(DeviceLog(0), InvalidArgument);
 }
 
 // ---- FleetSim integration ----------------------------------------------------
@@ -414,8 +389,33 @@ TEST(TdfFleet, CompoundChaosRepairsCorruptFramesAndConservesRows) {
   EXPECT_GT(t.frames_rejected, 0u) << "storm produced no corrupt frames";
   EXPECT_GT(t.frames_retransmitted, 0u) << "no frame was repaired by retry";
   EXPECT_TRUE(t.decode_identity_ok);
-  // The ring log saw offline traffic.
+  // The backlog saw offline traffic.
   EXPECT_GT(t.log_highwater_bytes, 0u);
+}
+
+// A backlog bound below any frame's size still keeps the newest frame
+// whole: every store evicts all older frames and keeps the one it added.
+TEST(TdfFleet, OneByteBacklogKeepsTheNewestFrameWhole) {
+  sim::FleetConfig config = telemetry_config(5);
+  config.faults.device_churns = 3.0;
+  config.faults.device_offtime_mean_s = 4.0;
+  config.device_flush_s = 1.0;
+  config.device_buffer_rows = 4096;
+  config.telemetry.device_log_bytes = 1;
+  sim::FleetSim fleet(config);
+  const sim::FleetReport r = fleet.run();
+  EXPECT_TRUE(r.rows_conserved());
+  const sim::TelemetrySummary& t = r.telemetry;
+  EXPECT_GT(t.log_highwater_bytes, 1u);
+  EXPECT_GT(t.log_frames_evicted, 0u);
+  EXPECT_EQ(t.log_rows_evicted, r.faults.rows_buffer_evicted);
+}
+
+TEST(TdfFleet, RejectsAZeroByteBacklog) {
+  sim::FleetConfig config = telemetry_config(5);
+  config.device_buffer_rows = 4096;
+  config.telemetry.device_log_bytes = 0;
+  EXPECT_THROW(sim::FleetSim{config}, InvalidArgument);
 }
 
 TEST(TdfFleet, FireAndForgetCorruptFramesAreRejectedNotScored) {
