@@ -15,6 +15,7 @@ ChunkedPatch::ChunkedPatch(std::vector<std::uint8_t> patch_bytes,
   IOTML_CHECK(chunk_bytes_ > 0, "ChunkedPatch: chunk_bytes must be > 0");
   IOTML_CHECK(!bytes_.empty(), "ChunkedPatch: empty patch");
   num_chunks_ = (bytes_.size() + chunk_bytes_ - 1) / chunk_bytes_;
+  IOTML_CHECK(num_chunks_ <= kMaxChunks, "ChunkedPatch: patch needs more than kMaxChunks chunks");
 }
 
 ChunkFrame ChunkedPatch::frame(std::size_t index) const {
@@ -37,7 +38,7 @@ std::size_t ChunkedPatch::total_wire_bytes() const noexcept {
 }
 
 PatchApplier::Accept PatchApplier::accept(const ChunkFrame& frame) {
-  if (frame.total == 0 || frame.index >= frame.total ||
+  if (frame.total == 0 || frame.total > kMaxChunks || frame.index >= frame.total ||
       frame.patch_size == 0) {
     return Accept::kShapeMismatch;
   }

@@ -20,6 +20,12 @@ namespace iotml::ota {
 /// patch size + payload checksum, each u32.
 inline constexpr std::size_t kChunkFramingBytes = 20;
 
+/// The most chunks one transfer may have. The applier refuses a frame that
+/// announces more before it sizes anything by that count, and ChunkedPatch
+/// refuses to split a patch into more. At the default 96-byte chunks this
+/// is a 6 MiB patch, far above any fleet artifact.
+inline constexpr std::size_t kMaxChunks = std::size_t{1} << 16;
+
 /// One chunk frame. `payload` is patch bytes [index*chunk, ...); `checksum`
 /// is FNV-1a32 over the payload, verified by the applier before the chunk
 /// is accepted.
@@ -37,7 +43,8 @@ struct ChunkFrame {
 };
 
 /// Sender-side view of an encoded patch split into fixed-size chunks.
-/// Throws InvalidArgument when chunk_bytes == 0 or the patch is empty.
+/// Throws InvalidArgument when chunk_bytes == 0, the patch is empty or it
+/// needs more than kMaxChunks chunks.
 class ChunkedPatch {
  public:
   ChunkedPatch() = default;
@@ -82,6 +89,7 @@ class PatchApplier {
 
   /// Feed one chunk frame. The first accepted frame fixes the transfer
   /// shape (version id, chunk count, patch size); later frames must agree.
+  /// A frame announcing more than kMaxChunks chunks is a shape mismatch.
   Accept accept(const ChunkFrame& frame);
 
   /// Drop all staged state (a canceled or superseded transfer). The

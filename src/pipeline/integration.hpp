@@ -29,6 +29,12 @@ struct IntegrationResult {
 };
 
 /// Merge d 1-dimensional sensor streams into a single d-dimensional view.
+/// Each stream's stamps must be finite and ascending, as simulate_sensor
+/// returns them: the streams are walked in one k-way merge, and each
+/// reading joins the record open when it is reached. Throws
+/// InvalidArgument when a stamp is not finite or a stream's stamps do not
+/// ascend, when there are no streams, when every stream is empty, or when
+/// the tolerance is negative.
 IntegrationResult integrate_streams(const std::vector<SensorStream>& streams,
                                     const IntegrationParams& params = {});
 

@@ -1,5 +1,6 @@
 #include "pipeline/sensors.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -29,14 +30,28 @@ Signal composite_signal(std::vector<Signal> parts) {
 
 SensorStream simulate_sensor(const SensorSpec& spec, const Signal& truth,
                              double duration_s, Rng& rng) {
+  SensorStream out;
+  // Room for every sample of a run without dropout. NaN, infinite and absurd
+  // counts fail the comparison and are left to the checks of the fill.
+  const double samples = std::ceil(duration_s / spec.period_s) + 1.0;
+  if (samples >= 1.0 && samples < 1e9) {
+    out.readings.reserve(static_cast<std::size_t>(samples));
+  }
+  simulate_sensor(spec, truth, duration_s, rng, out);
+  return out;
+}
+
+void simulate_sensor(const SensorSpec& spec, const Signal& truth, double duration_s,
+                     Rng& rng, SensorStream& out) {
   IOTML_CHECK(spec.period_s > 0.0, "simulate_sensor: period must be positive");
   IOTML_CHECK(duration_s > 0.0, "simulate_sensor: duration must be positive");
   IOTML_CHECK(spec.dropout_prob >= 0.0 && spec.dropout_prob < 1.0,
               "simulate_sensor: dropout_prob must be in [0, 1)");
   IOTML_CHECK(spec.noise_std >= 0.0, "simulate_sensor: noise_std must be >= 0");
 
-  SensorStream out;
   out.sensor_name = spec.name;
+  out.readings.clear();
+  out.dropped = 0;
   for (double t = 0.0; t < duration_s; t += spec.period_s) {
     if (rng.bernoulli(spec.dropout_prob)) {
       ++out.dropped;
@@ -58,7 +73,6 @@ SensorStream simulate_sensor(const SensorSpec& spec, const Signal& truth,
   // Jitter can locally reorder stamps; integration expects ascending order.
   std::sort(out.readings.begin(), out.readings.end(),
             [](const Reading& a, const Reading& b) { return a.timestamp < b.timestamp; });
-  return out;
 }
 
 FieldAcquisition acquire_field(const std::vector<FieldQuantity>& field,

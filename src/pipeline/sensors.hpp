@@ -48,6 +48,14 @@ struct SensorStream {
 SensorStream simulate_sensor(const SensorSpec& spec, const Signal& truth,
                              double duration_s, Rng& rng);
 
+/// The same simulation written into `out`, whose readings are replaced and
+/// whose `dropped` count restarts at 0. `out.readings` keeps its capacity,
+/// so a caller that reserved room for every sample gets a fill that
+/// allocates nothing: the fleet simulator fills reserved buffers this way
+/// on worker threads.
+void simulate_sensor(const SensorSpec& spec, const Signal& truth, double duration_s,
+                     Rng& rng, SensorStream& out);
+
 /// A field of devices measuring (possibly shared) quantities. This is the
 /// "sand-dust of heterogeneously distributed sensors not all of which are
 /// operational at any given time" of the paper's introduction.

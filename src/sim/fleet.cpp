@@ -1,10 +1,14 @@
 #include "sim/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <numbers>
 #include <numeric>
+#include <thread>
 #include <utility>
 
 #include "approx/confidence.hpp"
@@ -112,6 +116,45 @@ data::Dataset sensor_features(const data::Dataset& ds) {
   return cols.empty() || cols.size() == ds.num_columns() ? ds : ds.select_columns(cols);
 }
 
+/// Runs `work(i)` for every i in [0, count). Workers claim 64-index blocks
+/// from a shared counter; there are min(hardware threads, count / 64) of
+/// them, the calling thread among them, so below two full blocks the
+/// calling thread runs every block itself. `work(i)` may write only state of
+/// index i. After every worker has joined, the failure of the lowest
+/// failing index is rethrown (a block stops at its first failure).
+template <typename Work>
+void for_each_index_in_blocks(std::size_t count, const Work& work) {
+  constexpr std::size_t kBlock = 64;
+  const std::size_t blocks = (count + kBlock - 1) / kBlock;
+  std::vector<std::exception_ptr> failures(blocks);
+  std::atomic<std::size_t> next_block{0};
+  auto worker = [&] {
+    for (std::size_t b = next_block++; b < blocks; b = next_block++) {
+      try {
+        for (std::size_t i = b * kBlock; i < std::min(count, (b + 1) * kBlock); ++i) work(i);
+      } catch (...) {
+        failures[b] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::thread::hardware_concurrency(), count / kBlock));
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) {
+    try {
+      threads.emplace_back(worker);
+    } catch (const std::exception&) {
+      break;  // no thread to spare: the workers already running take every block
+    }
+  }
+  worker();
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+}
+
 /// Degrade summaries number their traces in a range of their own (top bit
 /// set), so the ladder's choices never shift the trace ids of row,
 /// artifact, prediction and patch frames, which flight notes carry.
@@ -153,6 +196,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   IOTML_CHECK(config.sensor_period_s > 0.0, "FleetSim: sensor period must be positive");
   IOTML_CHECK(config.sensor_dropout >= 0.0 && config.sensor_dropout < 1.0,
               "FleetSim: sensor dropout outside [0, 1)");
+  IOTML_CHECK(config.sensor_noise >= 0.0, "FleetSim: sensor noise must be >= 0");
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
   IOTML_CHECK(config.checkpoint_interval_s >= 0.0,
               "FleetSim: negative checkpoint interval");
@@ -348,18 +392,33 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
 void FleetSim::generate_device_data() {
   static const char* kQuantity[3] = {"temperature", "humidity", "wind"};
   static constexpr double kNoiseScale[3] = {1.0, 2.5, 1.5};
-  device_data_.resize(config_.devices);
-  device_cursor_.assign(config_.devices, 0);
+  const std::size_t devices = config_.devices;
+  device_data_.resize(devices);
+  device_cursor_.assign(devices, 0);
   // Deploy runs keep sensing past the learning window: those extra rows are
   // never flushed upstream — they are the data the deployed artifact scores.
   const double horizon_s =
       config_.duration_s +
       (config_.deploy.enabled ? config_.deploy.score_window_s : 0.0);
-  for (std::size_t d = 0; d < config_.devices; ++d) {
-    Rng& rng = device_rngs_[d];
+
+  // Sensing draws only from each device's own stream, split off before this
+  // runs, so devices are simulated in any order, on worker threads. Workers
+  // write only into buffers reserved here, so they never allocate: a
+  // sensor's period factor is drawn from [0.9, 1.1), which bounds its
+  // samples over the horizon (see DESIGN.md §9).
+  const double most_samples = std::ceil(horizon_s / (0.9 * config_.sensor_period_s)) + 2.0;
+  IOTML_CHECK(most_samples < 1e9, "FleetSim: too many sensor samples per device");
+  std::vector<std::vector<pipeline::SensorStream>> streams(devices);
+  for (std::vector<pipeline::SensorStream>& device : streams) {
+    device.resize(3);
+    for (pipeline::SensorStream& s : device) {
+      s.readings.reserve(static_cast<std::size_t>(most_samples));
+    }
+  }
+  std::vector<std::int64_t> simulate_us(devices, 0);
+  for_each_index_in_blocks(devices, [&](std::size_t d) {
     const std::int64_t start_us = obs::now_us();
-    std::vector<pipeline::SensorStream> streams;
-    std::size_t readings = 0;
+    Rng& rng = device_rngs_[d];
     for (std::size_t q = 0; q < 3; ++q) {
       pipeline::SensorSpec spec;
       spec.name = kQuantity[q];
@@ -367,22 +426,29 @@ void FleetSim::generate_device_data() {
       spec.clock_jitter_s = 0.02;
       spec.noise_std = config_.sensor_noise * kNoiseScale[q];
       spec.dropout_prob = config_.sensor_dropout;
-      streams.push_back(
-          pipeline::simulate_sensor(spec, truths_[q], horizon_s, rng));
-      readings += streams.back().readings.size();
+      pipeline::simulate_sensor(spec, truths_[q], horizon_s, rng, streams[d][q]);
     }
+    simulate_us[d] = obs::now_us() - start_us;
+  });
+
+  // Integration allocates each window, so it runs here, in device order.
+  for (std::size_t d = 0; d < devices; ++d) {
+    const std::int64_t start_us = obs::now_us();
+    std::size_t readings = 0;
+    for (const pipeline::SensorStream& s : streams[d]) readings += s.readings.size();
     pipeline::IntegrationResult integ;
     if (readings > 0) {
       integ = pipeline::integrate_streams(
-          streams, {.merge_tolerance_s = 0.45 * config_.sensor_period_s});
+          streams[d], {.merge_tolerance_s = 0.45 * config_.sensor_period_s});
     } else {
       // Every sensor dropped every reading: the device keeps an empty window
       // with the usual columns and simply never has rows to flush.
       integ.records.add_numeric_column("timestamp");
-      for (const pipeline::SensorStream& s : streams) {
+      for (const pipeline::SensorStream& s : streams[d]) {
         integ.records.add_numeric_column(s.sensor_name);
       }
     }
+    streams[d].clear();  // frees the readings: the next window reuses that memory
     report_.rows_generated += integ.records.rows();
 
     StageReport acq;
@@ -395,7 +461,7 @@ void FleetSim::generate_device_data() {
     acq.missing_rate_out = integ.records.missing_rate();
     acq.cost = 0.05 + 0.01 * static_cast<double>(readings);
     // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-    acq.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
+    acq.wall_time_us = static_cast<std::uint64_t>(simulate_us[d] + obs::now_us() - start_us);
     report_.stage_reports.push_back(std::move(acq));
 
     device_data_[d] = std::move(integ.records);

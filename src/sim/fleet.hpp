@@ -203,7 +203,7 @@ struct FleetConfig {
 
   double sensor_period_s = 0.5;  ///< nominal sampling period per sensor
   double sensor_dropout = 0.05;  ///< per-sample loss at the sensor itself, in [0, 1)
-  double sensor_noise = 0.4;     ///< base measurement noise (scaled per quantity)
+  double sensor_noise = 0.4;     ///< base measurement noise (scaled per quantity), >= 0
   std::size_t feature_keep = 3;  ///< core-side MI feature selection budget
 
   DeployConfig deploy;

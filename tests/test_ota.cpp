@@ -21,6 +21,7 @@
 #include "ota/version.hpp"
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "wire_mutation.hpp"
 
@@ -184,6 +185,37 @@ TEST(OtaTransfer, ShapeMismatchesAreRejected) {
   ASSERT_EQ(applier.accept(chunked.frame(0)), PatchApplier::Accept::kAccepted);
   // A frame from a different version/transfer shape must not mix in.
   EXPECT_EQ(applier.accept(other.frame(1)), PatchApplier::Accept::kShapeMismatch);
+}
+
+// A 1-byte chunk of a 2^32-1-byte patch in 2^32-1 chunks passes every other
+// shape check; sized by its count, the staging would take ~100 GiB. Frames
+// over the kMaxChunks ceiling are refused before anything is sized, and a
+// sender never splits a patch past it.
+TEST(OtaTransfer, ChunkCountOverTheCeilingIsRefusedBeforeStaging) {
+  auto frame_of = [](std::uint32_t total) {
+    ChunkFrame f;
+    f.version_id = 1;
+    f.total = total;
+    f.patch_size = total;  // one byte per chunk
+    f.payload = {0x5A};
+    f.checksum = fnv1a32(f.payload.data(), f.payload.size());
+    return f;
+  };
+  for (const std::uint32_t total :
+       {std::uint32_t{0xFFFFFFFFu}, static_cast<std::uint32_t>(kMaxChunks + 1)}) {
+    PatchApplier applier;
+    EXPECT_EQ(applier.accept(frame_of(total)), PatchApplier::Accept::kShapeMismatch) << total;
+    EXPECT_FALSE(applier.started());
+  }
+  PatchApplier at_ceiling;
+  EXPECT_EQ(at_ceiling.accept(frame_of(static_cast<std::uint32_t>(kMaxChunks))),
+            PatchApplier::Accept::kAccepted);
+  EXPECT_EQ(at_ceiling.total_chunks(), kMaxChunks);
+
+  EXPECT_EQ(ChunkedPatch(std::vector<std::uint8_t>(kMaxChunks, 1), 1, 1).num_chunks(),
+            kMaxChunks);
+  EXPECT_THROW(ChunkedPatch(std::vector<std::uint8_t>(kMaxChunks + 1, 1), 1, 1),
+               InvalidArgument);
 }
 
 TEST(OtaTransfer, ResumesFromExactlyTheMissingChunks) {

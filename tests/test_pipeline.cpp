@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "data/metrics.hpp"
 #include "obs/clock.hpp"
@@ -108,6 +115,35 @@ TEST(Sensors, Validation) {
   EXPECT_THROW(sine_signal(0, 1, 0), InvalidArgument);
 }
 
+// The fleet simulator fills buffers it reserved, on worker threads, through
+// the fill-in-place form; it must draw and write exactly what the returning
+// form does, into the caller's storage.
+TEST(Sensors, FillInPlaceMatchesTheReturningForm) {
+  const SensorSpec spec{.name = "t", .period_s = 0.1, .clock_jitter_s = 0.05,
+                        .noise_std = 0.3, .dropout_prob = 0.2, .outlier_prob = 0.05};
+  const Signal truth = sine_signal(20.0, 5.0, 30.0);
+  Rng returning_rng(31);
+  Rng filling_rng(31);
+  const SensorStream returned = simulate_sensor(spec, truth, 20.0, returning_rng);
+  ASSERT_GT(returned.dropped, 0u);
+
+  SensorStream filled{.sensor_name = "stale", .readings = {{-1.0, 9.0}}, .dropped = 999};
+  filled.readings.reserve(400);
+  const std::size_t capacity = filled.readings.capacity();
+  const Reading* storage = filled.readings.data();
+  simulate_sensor(spec, truth, 20.0, filling_rng, filled);
+  EXPECT_EQ(filled.sensor_name, "t");
+  EXPECT_EQ(filled.dropped, returned.dropped);
+  ASSERT_EQ(filled.readings.size(), returned.readings.size());
+  for (std::size_t i = 0; i < returned.readings.size(); ++i) {
+    EXPECT_EQ(filled.readings[i].timestamp, returned.readings[i].timestamp) << i;
+    EXPECT_EQ(filled.readings[i].value, returned.readings[i].value) << i;
+  }
+  EXPECT_EQ(filled.readings.capacity(), capacity);
+  EXPECT_EQ(filled.readings.data(), storage);
+  EXPECT_EQ(filling_rng.engine()(), returning_rng.engine()());
+}
+
 // ---- Integration ---------------------------------------------------------------
 
 TEST(Integration, SynchronizedStreamsProduceCompleteRecords) {
@@ -179,6 +215,148 @@ TEST(Integration, Validation) {
   EXPECT_THROW(integrate_streams({}), InvalidArgument);
   SensorStream empty{.sensor_name = "e", .readings = {}, .dropped = 0};
   EXPECT_THROW(integrate_streams({empty}), InvalidArgument);
+  // The merge needs every stream's stamps finite and ascending.
+  SensorStream ascending{.sensor_name = "a", .readings = {{0.0, 1.0}, {1.0, 2.0}}};
+  SensorStream backwards{.sensor_name = "b", .readings = {{0.5, 1.0}, {0.4, 2.0}}};
+  SensorStream nan_stamp{.sensor_name = "n", .readings = {{std::nan(""), 1.0}}};
+  SensorStream inf_stamp{.sensor_name = "i", .readings = {{0.5, 1.0}, {std::numeric_limits<double>::infinity(), 2.0}}};
+  EXPECT_NO_THROW(integrate_streams({ascending, empty}));
+  EXPECT_THROW(integrate_streams({ascending, backwards}), InvalidArgument);
+  EXPECT_THROW(integrate_streams({nan_stamp, ascending}), InvalidArgument);
+  EXPECT_THROW(integrate_streams({ascending, inf_stamp}), InvalidArgument);
+}
+
+// The integration the merge replaced, kept as its reference: sort every
+// stamp, form anchors left to right with the tolerance rule, then
+// binary-search each reading's anchor and accumulate per (stream, record).
+IntegrationResult reference_integrate(const std::vector<SensorStream>& streams,
+                                      const IntegrationParams& params) {
+  std::vector<double> stamps;
+  for (const SensorStream& s : streams) {
+    for (const Reading& r : s.readings) stamps.push_back(r.timestamp);
+  }
+  std::sort(stamps.begin(), stamps.end());
+  std::vector<double> anchors;
+  std::size_t merged = 0;
+  for (double t : stamps) {
+    if (anchors.empty() || t - anchors.back() > params.merge_tolerance_s) {
+      anchors.push_back(t);
+    } else {
+      ++merged;
+    }
+  }
+  auto anchor_of = [&](double t) {
+    auto it = std::upper_bound(anchors.begin(), anchors.end(), t);
+    return static_cast<std::size_t>(it - anchors.begin()) - 1;
+  };
+  struct Cell {
+    double sum = 0.0;
+    double last = 0.0;
+    std::size_t count = 0;
+  };
+  std::vector<std::vector<Cell>> cells(streams.size(), std::vector<Cell>(anchors.size()));
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (const Reading& r : streams[s].readings) {
+      Cell& cell = cells[s][anchor_of(r.timestamp)];
+      cell.sum += r.value;
+      cell.last = r.value;
+      ++cell.count;
+    }
+  }
+  IntegrationResult out;
+  out.merged_timestamps = merged;
+  data::Column& time_col = out.records.add_numeric_column("timestamp");
+  for (double a : anchors) time_col.push_numeric(a);
+  std::size_t missing_cells = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    data::Column& col = out.records.add_numeric_column(streams[s].sensor_name);
+    for (std::size_t rec = 0; rec < anchors.size(); ++rec) {
+      const Cell& cell = cells[s][rec];
+      if (cell.count == 0) {
+        col.push_missing();
+        ++missing_cells;
+      } else if (params.average_duplicates) {
+        col.push_numeric(cell.sum / static_cast<double>(cell.count));
+      } else {
+        col.push_numeric(cell.last);
+      }
+    }
+  }
+  out.missing_rate = static_cast<double>(missing_cells) /
+                     static_cast<double>(streams.size() * anchors.size());
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Random ascending streams: 1 to 5 of them, some empty. Most stamps sit on
+// a grid of eighths, so streams share stamps and consecutive stamps lie
+// exactly one tolerance apart; the rest fall anywhere.
+TEST(Integration, MergeMatchesTheSortAndSearchReference) {
+  Rng rng(2024);
+  std::size_t shared_stamps = 0;
+  std::size_t gaps_at_tolerance = 0;
+  std::size_t with_empty_stream = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t k = 1 + rng.index(5);
+    std::vector<SensorStream> streams(k);
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < k; ++s) {
+      streams[s].sensor_name = "s" + std::to_string(s);
+      const std::size_t n = rng.index(4) == 0 ? 0 : rng.index(40);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double t = rng.bernoulli(0.8) ? 0.125 * static_cast<double>(rng.index(64))
+                                            : rng.uniform(0.0, 8.0);
+        streams[s].readings.push_back({t, rng.normal(0.0, 10.0)});
+      }
+      std::sort(streams[s].readings.begin(), streams[s].readings.end(),
+                [](const Reading& a, const Reading& b) { return a.timestamp < b.timestamp; });
+      total += n;
+      if (n == 0) ++with_empty_stream;
+    }
+    if (total == 0) continue;
+    const double tolerances[] = {0.0, 0.125, 0.25, rng.uniform(0.0, 0.5)};
+    const IntegrationParams params{.merge_tolerance_s = tolerances[rng.index(4)],
+                                   .average_duplicates = rng.bernoulli(0.5)};
+
+    std::vector<double> stamps;
+    std::set<std::pair<std::uint64_t, std::size_t>> owners;
+    for (std::size_t s = 0; s < k; ++s) {
+      for (const Reading& r : streams[s].readings) {
+        stamps.push_back(r.timestamp);
+        owners.insert({bits(r.timestamp), s});
+      }
+    }
+    std::map<std::uint64_t, std::size_t> streams_per_stamp;
+    for (const auto& [stamp, s] : owners) ++streams_per_stamp[stamp];
+    for (const auto& [stamp, count] : streams_per_stamp) shared_stamps += count > 1 ? 1 : 0;
+    std::sort(stamps.begin(), stamps.end());
+    for (std::size_t i = 1; i < stamps.size(); ++i) {
+      if (params.merge_tolerance_s > 0.0 &&
+          bits(stamps[i] - stamps[i - 1]) == bits(params.merge_tolerance_s)) {
+        ++gaps_at_tolerance;
+      }
+    }
+
+    const IntegrationResult want = reference_integrate(streams, params);
+    const IntegrationResult got = integrate_streams(streams, params);
+    ASSERT_EQ(got.records.num_columns(), want.records.num_columns()) << trial;
+    ASSERT_EQ(got.records.rows(), want.records.rows()) << trial;
+    EXPECT_EQ(got.merged_timestamps, want.merged_timestamps) << trial;
+    EXPECT_EQ(bits(got.missing_rate), bits(want.missing_rate)) << trial;
+    for (std::size_t c = 0; c < want.records.num_columns(); ++c) {
+      const data::Column& g = got.records.column(c);
+      const data::Column& w = want.records.column(c);
+      EXPECT_EQ(g.name(), w.name()) << trial;
+      for (std::size_t r = 0; r < w.size(); ++r) {
+        ASSERT_EQ(g.is_missing(r), w.is_missing(r)) << trial << " col " << c << " row " << r;
+        EXPECT_EQ(bits(g.raw()[r]), bits(w.raw()[r])) << trial << " col " << c << " row " << r;
+      }
+    }
+  }
+  EXPECT_GT(shared_stamps, 100u);
+  EXPECT_GT(gaps_at_tolerance, 100u);
+  EXPECT_GT(with_empty_stream, 50u);
 }
 
 // ---- Preparation ------------------------------------------------------------------

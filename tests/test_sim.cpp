@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <regex>
 #include <set>
@@ -474,16 +475,23 @@ TEST(Fleet, Validation) {
   bad_flush.device_flush_s = 0.0;
   EXPECT_THROW(FleetSim{bad_flush}, InvalidArgument);
 
-  // FleetSim's own check rejects a sensor that drops every reading.
+  // FleetSim's own checks reject sensor settings before any sensor runs
+  // (sensing may run on worker threads).
+  auto expect_own_message = [](const FleetConfig& config, const std::string& message) {
+    try {
+      FleetSim fleet(config);
+      FAIL() << "expected throw: " << message;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  };
   FleetConfig deaf = small_config();
   deaf.sensor_dropout = 1.0;
-  try {
-    FleetSim fleet(deaf);
-    FAIL() << "expected throw";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("FleetSim: sensor dropout outside [0, 1)"),
-              std::string::npos)
-        << e.what();
+  expect_own_message(deaf, "FleetSim: sensor dropout outside [0, 1)");
+  for (const double noise : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    FleetConfig noisy = small_config();
+    noisy.sensor_noise = noise;
+    expect_own_message(noisy, "FleetSim: sensor noise must be >= 0");
   }
 }
 
@@ -641,7 +649,7 @@ TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
 // Small fleets that between them cross every send site (rows, degrade
 // summaries, deploy artifacts and predictions, OTA chunks, probe reports
 // and rollback commands) in both channel modes, and each bound a device
-// backlog evicts by. Each case pins the FNV-1a-64 digests of its event
+// backlog evicts by, plus one fleet wide enough to sense on worker threads. Each case pins the FNV-1a-64 digests of its event
 // log, its FleetReport JSON and, when the observatory is on, its
 // journeys.jsonl ("-" otherwise) in golden/fleet_digest_grid.txt, so a
 // change to the transport, the simulator or the journey store that moves
@@ -871,6 +879,23 @@ std::vector<GridCase> digest_grid() {
     c.device_buffer_rows = 8;
     grid.push_back({"backlog-whole-chunks-ack", c, [](const FleetReport& r) {
                       return r.faults.rows_buffer_evicted > 0;
+                    }});
+  }
+  {
+    // Wide enough that, on a host with two or more hardware threads, the
+    // constructor simulates sensors on worker threads (two full 64-device
+    // blocks and a partial one). Deploy sensing runs past the learning
+    // window, so the reading buffers are sized from the longer horizon.
+    FleetConfig c = grid_fleet(109, false);
+    c.devices = 160;
+    c.edges = 4;
+    c.duration_s = 6.0;
+    c.device_flush_s = 2.0;
+    c.edge_flush_s = 3.0;
+    c.deploy.enabled = true;
+    c.deploy.score_window_s = 4.0;
+    grid.push_back({"wide-deploy-workers", c, [](const FleetReport& r) {
+                      return r.devices == 160 && r.deploy.predictions_delivered > 0;
                     }});
   }
   return grid;
