@@ -6,16 +6,6 @@
 
 namespace iotml::approx {
 
-const char* degrade_level_name(DegradeLevel level) noexcept {
-  switch (level) {
-    case DegradeLevel::kExact: return "exact";
-    case DegradeLevel::kSampled: return "sampled";
-    case DegradeLevel::kSketch: return "sketch";
-    case DegradeLevel::kSummary: return "summary";
-  }
-  return "unknown";
-}
-
 double DegradeSignals::pressure() const noexcept {
   return std::max(std::max(queue_fraction, dead_letter_rate),
                   std::max(sf_occupancy, checkpoint_lag));

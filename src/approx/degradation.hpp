@@ -16,8 +16,6 @@ enum class DegradeLevel : int {
   kSummary = 3,  ///< L3: stale artifact + count-only summary uplink
 };
 
-const char* degrade_level_name(DegradeLevel level) noexcept;
-
 /// Normalized backpressure signals an edge observes on the virtual clock.
 /// The caller scales each so 1.0 means "at the reference saturation point";
 /// the controller takes the max as its composite pressure, so any one

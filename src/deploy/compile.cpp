@@ -1,7 +1,7 @@
 #include "deploy/compile.hpp"
 
-#include "deploy/codec.hpp"
 #include "obs/obs.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace iotml::deploy {
@@ -16,7 +16,7 @@ Tensor f32_tensor(std::vector<float> values) {
 }
 
 std::uint16_t label_classes(const data::Dataset& train) {
-  return narrow_u16(train.num_classes(), "class count");
+  return util::narrow_u16(train.num_classes(), "class count");
 }
 
 void finish_compile_span(obs::Span& span, const CompiledModel& model) {
@@ -59,20 +59,20 @@ CompiledModel compile(const learners::DecisionTree& tree, const data::Dataset& t
   thresholds.reserve(exported.size());
   for (const learners::ExportedTreeNode& n : exported) {
     TreeNode node;
-    node.flags = narrow_u8((n.leaf ? 1U : 0U) | (n.numeric ? 2U : 0U), "TreeNode.flags");
-    node.label = narrow_u8(static_cast<std::size_t>(n.label), "tree leaf label");
+    node.flags = util::narrow_u8((n.leaf ? 1U : 0U) | (n.numeric ? 2U : 0U), "TreeNode.flags");
+    node.label = util::narrow_u8(static_cast<std::size_t>(n.label), "tree leaf label");
     thresholds.push_back(n.leaf || !n.numeric ? 0.0F
                                               : static_cast<float>(n.threshold));
     if (!n.leaf) {
-      node.feature = narrow_u16(n.feature, "tree split feature");
-      node.child_base = narrow_u16(model.tree.child_index.size(), "tree child pool");
-      node.child_count = narrow_u8(n.children.size(), "tree children per split");
-      node.missing_slot = narrow_u8(n.missing_slot, "tree missing slot");
+      node.feature = util::narrow_u16(n.feature, "tree split feature");
+      node.child_base = util::narrow_u16(model.tree.child_index.size(), "tree child pool");
+      node.child_count = util::narrow_u8(n.children.size(), "tree children per split");
+      node.missing_slot = util::narrow_u8(n.missing_slot, "tree missing slot");
       for (std::size_t child : n.children) {
         model.tree.child_index.push_back(
             child == learners::ExportedTreeNode::kNoNode
                 ? kNoChild
-                : narrow_u16(child, "tree child id"));
+                : util::narrow_u16(child, "tree child id"));
       }
     }
     model.tree.nodes.push_back(node);
@@ -132,7 +132,7 @@ CompiledModel compile(const learners::NaiveBayes& nbc, const data::Dataset& trai
 
   CompiledModel model;
   model.kind = ModelKind::kNaiveBayes;
-  model.num_classes = narrow_u16(nbc.class_count(), "class count");
+  model.num_classes = util::narrow_u16(nbc.class_count(), "class count");
   model.features = schema_of(train);
 
   std::vector<float> priors;

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 
-#include "deploy/codec.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::deploy {
+
+using util::ByteReader;
+using util::ByteWriter;
 
 namespace {
 
@@ -13,9 +17,9 @@ constexpr std::uint8_t kMagic[4] = {'I', 'O', 'M', 'L'};
 constexpr std::uint16_t kFormatVersion = 1;
 
 void encode_tensor(ByteWriter& w, const Tensor& t) {
-  w.u8(enum_u8(t.precision));
+  w.u8(util::enum_u8(t.precision));
   w.f32(t.scale);
-  w.u32(narrow_u32(t.size(), "tensor length"));
+  w.u32(util::narrow_u32(t.size(), "tensor length"));
   switch (t.precision) {
     case Precision::kFloat32:
       for (float v : t.f) w.f32(v);
@@ -24,7 +28,7 @@ void encode_tensor(ByteWriter& w, const Tensor& t) {
       for (std::int16_t v : t.q) w.i16(v);
       break;
     case Precision::kInt8:
-      for (std::int16_t v : t.q) w.i8(narrow_i8(v, "int8 tensor value"));
+      for (std::int16_t v : t.q) w.i8(util::narrow_i8(v, "int8 tensor value"));
       break;
   }
 }
@@ -32,7 +36,7 @@ void encode_tensor(ByteWriter& w, const Tensor& t) {
 Tensor decode_tensor(ByteReader& r) {
   Tensor t;
   const std::uint8_t p = r.u8();
-  IOTML_CHECK(p <= enum_u8(Precision::kInt8),
+  IOTML_CHECK(p <= util::enum_u8(Precision::kInt8),
               "CompiledModel::decode: bad tensor precision tag");
   t.precision = static_cast<Precision>(p);
   t.scale = r.f32();
@@ -106,21 +110,21 @@ std::vector<std::uint8_t> CompiledModel::encode() const {
   ByteWriter w;
   for (std::uint8_t m : kMagic) w.u8(m);
   w.u16(version);
-  w.u8(enum_u8(kind));
-  w.u8(enum_u8(precision));
+  w.u8(util::enum_u8(kind));
+  w.u8(util::enum_u8(precision));
   w.u16(num_classes);
-  w.u16(narrow_u16(features.size(), "feature count"));
+  w.u16(util::narrow_u16(features.size(), "feature count"));
   for (const FeatureSchema& fs : features) {
     w.str(fs.name);
     w.u8(fs.categorical ? 1 : 0);
-    w.u16(narrow_u16(fs.categories.size(), "category count"));
+    w.u16(util::narrow_u16(fs.categories.size(), "category count"));
     for (const std::string& c : fs.categories) w.str(c);
   }
 
   switch (kind) {
     case ModelKind::kTree: {
-      w.u16(narrow_u16(tree.nodes.size(), "tree node count"));
-      w.u16(narrow_u16(tree.child_index.size(), "tree child pool size"));
+      w.u16(util::narrow_u16(tree.nodes.size(), "tree node count"));
+      w.u16(util::narrow_u16(tree.child_index.size(), "tree child pool size"));
       for (const TreeNode& n : tree.nodes) {
         w.u8(n.flags);
         w.u8(n.label);
@@ -156,14 +160,14 @@ std::vector<std::uint8_t> CompiledModel::encode() const {
     }
   }
 
-  const std::uint32_t checksum = fnv1a(w.bytes().data(), w.size());
+  const std::uint32_t checksum = fnv1a32(w.bytes().data(), w.size());
   w.u32(checksum);
   return w.take();
 }
 
 CompiledModel CompiledModel::decode(const std::vector<std::uint8_t>& bytes) {
   IOTML_CHECK(bytes.size() >= 14, "CompiledModel::decode: artifact too short");
-  const std::uint32_t expect = fnv1a(bytes.data(), bytes.size() - 4);
+  const std::uint32_t expect = fnv1a32(bytes.data(), bytes.size() - 4);
   ByteReader trailer(bytes.data() + bytes.size() - 4, 4);
   IOTML_CHECK(trailer.u32() == expect,
               "CompiledModel::decode: checksum mismatch (corrupt artifact)");

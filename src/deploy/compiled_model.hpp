@@ -40,15 +40,6 @@ struct Tensor {
     return precision == Precision::kFloat32 ? f[i]
                                             : scale * static_cast<float>(q[i]);
   }
-  /// Encoded payload bytes (excluding the precision/scale/count header).
-  std::size_t value_bytes() const noexcept {
-    switch (precision) {
-      case Precision::kFloat32: return 4 * f.size();
-      case Precision::kInt16: return 2 * q.size();
-      case Precision::kInt8: return q.size();
-    }
-    return 0;
-  }
 };
 
 /// Binding schema of one model input: the feature's training-time name, kind

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdint>
 
-#include "deploy/codec.hpp"
 #include "deploy/runtime.hpp"
 #include "obs/obs.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace iotml::deploy {
@@ -28,7 +28,7 @@ Tensor quantize_tensor(const Tensor& t, Precision target) {
   for (float v : t.f) {
     long long q = std::llround(static_cast<double>(v) / static_cast<double>(out.scale));
     q = std::clamp(q, -qmax, qmax);
-    out.q.push_back(narrow_i16(q, "quantized tensor value"));
+    out.q.push_back(util::narrow_i16(q, "quantized tensor value"));
   }
   return out;
 }

@@ -252,7 +252,6 @@ void DecisionTree::fit(const data::Dataset& train) {
   IOTML_CHECK(train.rows() >= 1, "DecisionTree::fit: empty dataset");
   std::vector<std::size_t> rows(train.rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  default_class_ = majority_label(train, rows);
   train_categories_.assign(train.num_columns(), {});
   for (std::size_t f = 0; f < train.num_columns(); ++f) {
     if (train.column(f).type() == data::ColumnType::kCategorical) {

@@ -60,9 +60,6 @@ class DecisionTree final : public Classifier {
   /// fit().
   std::vector<ExportedTreeNode> export_nodes() const;
 
-  /// Majority class of the training set (prediction fallback).
-  int default_class() const noexcept { return default_class_; }
-
   /// Training-time category dictionaries, one per feature (empty for
   /// numeric features) — categorical split children are indexed by them.
   const std::vector<std::vector<std::string>>& train_category_labels() const noexcept {
@@ -73,7 +70,6 @@ class DecisionTree final : public Classifier {
   struct Node;
   DecisionTreeParams params_;
   std::unique_ptr<Node> root_;
-  int default_class_ = 0;
   /// Category labels per feature as seen at training time. Prediction maps a
   /// test cell's label through this table, because category *indices* are
   /// interned per dataset and are not stable across datasets.

@@ -19,15 +19,11 @@ double capped_backoff_s(double base_s, double cap_s, std::size_t retry) noexcept
       std::max(cap_s, base_s));
 }
 
-}  // namespace
+/// Ack-mode backoff jitter: each wait is stretched by a seeded factor in
+/// [1, 1 + kBackoffJitter).
+constexpr double kBackoffJitter = 0.2;
 
-std::string channel_mode_name(ChannelMode mode) {
-  switch (mode) {
-    case ChannelMode::kFireAndForget: return "fire-and-forget";
-    case ChannelMode::kAckRetry: return "ack-retry";
-  }
-  return "?";
-}
+}  // namespace
 
 Channel::Channel(Link& link, ChannelParams params) : link_(&link), params_(params) {
   IOTML_CHECK(params.max_attempts >= 1, "Channel: max_attempts must be >= 1");
@@ -35,8 +31,6 @@ Channel::Channel(Link& link, ChannelParams params) : link_(&link), params_(param
   IOTML_CHECK(params.ack_timeout_s >= 0.0, "Channel: negative ack timeout");
   IOTML_CHECK(params.backoff_base_s >= 0.0 && params.backoff_cap_s >= 0.0,
               "Channel: negative backoff");
-  IOTML_CHECK(params.backoff_jitter >= 0.0 && params.backoff_jitter <= 1.0,
-              "Channel: backoff_jitter outside [0, 1]");
 }
 
 std::size_t Channel::in_flight(double now_s) const {
@@ -60,7 +54,8 @@ ChannelOutcome Channel::send(double now_s, std::size_t bytes, Rng& rng) {
   if (params_.mode == ChannelMode::kAckRetry &&
       completion_s_.size() >= params_.queue_capacity) {
     ++stats_.dead_letters;
-    obs::registry().counter("net.channel.dead_letters").add();
+    static obs::Counter& dead_letters = obs::registry().counter("net.channel.dead_letters");
+    dead_letters.add();
     return {};
   }
   ++stats_.sends;
@@ -107,7 +102,9 @@ ChannelOutcome Channel::send_fire_and_forget(double now_s, std::size_t bytes, Rn
         ++stats_.delivered;
       } else {
         ++stats_.corrupt_rejected;
-        obs::registry().counter("net.channel.corrupt_rejected").add();
+        static obs::Counter& corrupt_rejected =
+            obs::registry().counter("net.channel.corrupt_rejected");
+        corrupt_rejected.add();
       }
       draw_straggler(outcome, wire.arrival_s, rng);
       return outcome;
@@ -127,7 +124,8 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     // The radio cannot even open the wire: an immediate timeout, so the
     // caller can store-and-forward instead of pretending the send happened.
     ++stats_.timeouts;
-    obs::registry().counter("net.channel.timeouts").add();
+    static obs::Counter& timeouts = obs::registry().counter("net.channel.timeouts");
+    timeouts.add();
     link_->record_drop();
     return outcome;
   }
@@ -140,7 +138,8 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     if (attempt > 1) {
       ++stats_.retransmits;
       link_->record_retransmit();
-      obs::registry().counter("net.channel.retransmits").add();
+      static obs::Counter& retransmits = obs::registry().counter("net.channel.retransmits");
+      retransmits.add();
     }
     const Attempt wire = link_->try_transmit(start_s, bytes, rng);
     bool acked = false;
@@ -158,29 +157,31 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
       if (!rng.bernoulli(lp.drop_prob)) {
         acked = true;
         ++stats_.acks;
-        obs::registry().counter("net.channel.acks").add();
+        static obs::Counter& acks = obs::registry().counter("net.channel.acks");
+        acks.add();
       }
     } else if (wire.delivered && wire.corrupted) {
       // Receiver recomputes the payload checksum, rejects the frame and
       // stays silent — the sender sees a timeout and retransmits, so ack
       // mode *repairs* corruption instead of merely detecting it.
       ++stats_.corrupt_rejected;
-      obs::registry().counter("net.channel.corrupt_rejected").add();
+      static obs::Counter& corrupt_rejected =
+          obs::registry().counter("net.channel.corrupt_rejected");
+      corrupt_rejected.add();
     }
     if (acked) break;
     ++stats_.timeouts;
-    obs::registry().counter("net.channel.timeouts").add();
+    static obs::Counter& timeouts = obs::registry().counter("net.channel.timeouts");
+    timeouts.add();
     if (attempt < params_.max_attempts) {
-      // Capped exponential backoff with deterministic seeded jitter on top:
-      // the wait is stretched by a factor in [1, 1 + jitter).
-      double wait_s =
-          capped_backoff_s(params_.backoff_base_s, params_.backoff_cap_s, attempt - 1);
-      if (params_.backoff_jitter > 0.0) {
-        wait_s *= 1.0 + rng.uniform(0.0, params_.backoff_jitter);
-      }
+      // Capped exponential backoff with deterministic seeded jitter on top.
+      const double wait_s =
+          capped_backoff_s(params_.backoff_base_s, params_.backoff_cap_s, attempt - 1) *
+          (1.0 + rng.uniform(0.0, kBackoffJitter));
       ++stats_.backoff_waits;
       stats_.backoff_wait_s += wait_s;
-      obs::registry().counter("net.channel.backoff_waits").add();
+      static obs::Counter& backoff_waits = obs::registry().counter("net.channel.backoff_waits");
+      backoff_waits.add();
       start_s = wire.done_s + params_.ack_timeout_s + wait_s;
     }
   }

@@ -15,15 +15,12 @@ enum class ChannelMode {
   kAckRetry        ///< stop-and-wait ack with exponential backoff + checksums
 };
 
-std::string channel_mode_name(ChannelMode mode);
-
 /// Policy of one reliable channel. All times are virtual seconds.
 struct ChannelParams {
   ChannelMode mode = ChannelMode::kFireAndForget;
   double ack_timeout_s = 0.25;       ///< grace past the attempt before a timeout
   double backoff_base_s = 0.05;      ///< first retransmit wait
   double backoff_cap_s = 2.0;        ///< backoff ceiling
-  double backoff_jitter = 0.2;       ///< wait *= 1 + uniform[0, jitter) (seeded)
   std::size_t max_attempts = 4;      ///< total payload transmissions (>= 1)
   std::size_t queue_capacity = 64;   ///< bounded in-flight sends (backpressure)
 };
@@ -67,15 +64,15 @@ struct ChannelOutcome {
 /// kAckRetry runs stop-and-wait: the receiver checks the payload checksum
 /// and acks intact frames over the reverse path (modelled with the same
 /// loss probability), and the sender retransmits after a timeout with
-/// capped exponential backoff and deterministic seeded jitter, so corrupt
-/// frames are *repaired*. Its bounded in-flight queue applies backpressure:
-/// sends beyond `queue_capacity` are dead-lettered without touching the
-/// wire. All simulator traffic goes through this API — wire attempts
-/// outside src/net/ are banned by lint rule R8.
+/// capped exponential backoff, stretched by a seeded factor in [1, 1.2), so
+/// corrupt frames are *repaired*. Its bounded in-flight queue applies
+/// backpressure: sends beyond `queue_capacity` are dead-lettered without
+/// touching the wire. All simulator traffic goes through this API — wire
+/// attempts outside src/net/ are banned by lint rule R8.
 class Channel {
  public:
-  /// Throws InvalidArgument unless max_attempts >= 1, queue_capacity >= 1,
-  /// ack_timeout/backoffs are non-negative and backoff_jitter is in [0, 1].
+  /// Throws InvalidArgument unless max_attempts >= 1, queue_capacity >= 1
+  /// and ack_timeout/backoffs are non-negative.
   Channel(Link& link, ChannelParams params);
 
   const Link& link() const noexcept { return *link_; }

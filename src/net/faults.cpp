@@ -23,6 +23,9 @@ std::string fault_kind_name(FaultKind kind) {
 
 namespace {
 
+/// Mean length of a core outage, in seconds.
+constexpr double kCoreDowntimeMeanS = 5.0;
+
 /// Sample alternating down/up pairs for one entity over [0, duration_s).
 void sample_outages(std::vector<Fault>& plan, double expected_outages,
                     double mean_outage_s, double duration_s, FaultKind down,
@@ -49,7 +52,7 @@ std::vector<Fault> make_fault_plan(const Topology& topo, const FaultParams& para
                   params.edge_crashes >= 0.0 && params.core_crashes >= 0.0,
               "make_fault_plan: negative fault rate");
   IOTML_CHECK(params.link_outage_mean_s >= 0.0 && params.device_offtime_mean_s >= 0.0 &&
-                  params.edge_downtime_mean_s >= 0.0 && params.core_downtime_mean_s >= 0.0,
+                  params.edge_downtime_mean_s >= 0.0,
               "make_fault_plan: negative outage duration");
   std::vector<Fault> plan;
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
@@ -64,7 +67,7 @@ std::vector<Fault> make_fault_plan(const Topology& topo, const FaultParams& para
     sample_outages(plan, params.edge_crashes, params.edge_downtime_mean_s, duration_s,
                    FaultKind::kEdgeCrash, FaultKind::kEdgeRestart, e, rng);
   }
-  sample_outages(plan, params.core_crashes, params.core_downtime_mean_s, duration_s,
+  sample_outages(plan, params.core_crashes, kCoreDowntimeMeanS, duration_s,
                  FaultKind::kCoreCrash, FaultKind::kCoreRestart, 0, rng);
   std::stable_sort(plan.begin(), plan.end(), [](const Fault& a, const Fault& b) {
     return std::tie(a.time_s, a.kind, a.target) < std::tie(b.time_s, b.kind, b.target);

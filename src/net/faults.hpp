@@ -44,15 +44,14 @@ struct FaultParams {
   double edge_crashes = 0.0;          ///< expected crash-restart cycles per edge
   double edge_downtime_mean_s = 5.0;
   double core_crashes = 0.0;          ///< expected crash-restart cycles of the core
-  double core_downtime_mean_s = 5.0;
 };
 
 /// Sample a reproducible fault plan over [0, duration_s): exponential
 /// inter-arrival times per link/device/edge (and the core), exponential
-/// outage lengths, every down/crash paired with its up/restart. Sorted by
-/// (time, kind, target). Throws InvalidArgument unless duration_s > 0 and
-/// the rates and mean durations are non-negative (a zero rate simply
-/// injects nothing).
+/// outage lengths (a fixed 5 s mean for the core), every down/crash paired
+/// with its up/restart. Sorted by (time, kind, target). Throws
+/// InvalidArgument unless duration_s > 0 and the rates and mean durations
+/// are non-negative (a zero rate simply injects nothing).
 std::vector<Fault> make_fault_plan(const Topology& topo, const FaultParams& params,
                                    double duration_s, Rng& rng);
 

@@ -62,8 +62,6 @@ Registry& registry() { return global().metrics_registry; }
 
 const std::string& trace_path() { return global().trace_file; }
 
-const std::string& metrics_path() { return global().metrics_file; }
-
 bool flush() { return global().write_sinks(); }
 
 }  // namespace iotml::obs

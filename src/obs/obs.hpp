@@ -21,9 +21,8 @@ TraceCollector& trace();
 /// exit (or on flush()).
 Registry& registry();
 
-/// Configured sink paths; empty when the corresponding env var is unset.
+/// Configured trace sink path; empty when IOTML_TRACE is unset.
 const std::string& trace_path();
-const std::string& metrics_path();
 
 /// Write the configured sinks now. Called automatically at process exit;
 /// harmless (and false) when no sink is configured.

@@ -5,11 +5,8 @@
 
 namespace iotml::obs {
 
-Observatory::Observatory(std::size_t entities, ObservatoryOptions options)
-    : options_(options),
-      series_(options.series_capacity),
-      journeys_(options.journey_capacity),
-      flight_(entities, options.flight_ring) {}
+Observatory::Observatory(std::size_t entities)
+    : series_(kSeriesCapacity), journeys_(kJourneyCapacity), flight_(entities, kFlightRing) {}
 
 bool Observatory::write_artifacts(
     const std::string& dir, const std::function<void(std::ostream&)>& write_event_log) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -11,24 +12,24 @@
 
 namespace iotml::obs {
 
-/// Sizing knobs for a fleet observatory. Defaults keep memory bounded at
-/// fleet scale: every buffer is a ring or a capped log, never an unbounded
-/// vector.
-struct ObservatoryOptions {
-  std::size_t series_capacity = 512;       ///< samples retained per (metric, entity, tier)
-  std::size_t flight_ring = 32;            ///< events retained per entity
-  std::size_t journey_capacity = 1 << 20;  ///< hop records retained per run
-};
-
 /// The fleet observatory: virtual-clock time-series, a causal journey log,
 /// and per-entity flight recorders, composed behind one handle plus a
 /// deterministic trace-id counter. Everything samples the sim's virtual
 /// clock, draws nothing from any RNG and perturbs no scheduling, so a run
 /// with the observatory on emits byte-identical event logs and reports to a
-/// run with it off — it observes, it never participates.
+/// run with it off — it observes, it never participates. Memory stays
+/// bounded at fleet scale: every buffer is a ring or a capped log, never an
+/// unbounded vector.
 class Observatory {
  public:
-  explicit Observatory(std::size_t entities, ObservatoryOptions options = {});
+  /// Samples retained per (metric, entity, tier).
+  static constexpr std::size_t kSeriesCapacity = 512;
+  /// Events retained per entity.
+  static constexpr std::size_t kFlightRing = 32;
+  /// Hop records retained per run.
+  static constexpr std::size_t kJourneyCapacity = std::size_t{1} << 20;
+
+  explicit Observatory(std::size_t entities);
 
   TimeSeriesStore& series() noexcept { return series_; }
   const TimeSeriesStore& series() const noexcept { return series_; }
@@ -39,8 +40,6 @@ class Observatory {
   FlightRecorder& flight() noexcept { return flight_; }
   const FlightRecorder& flight() const noexcept { return flight_; }
 
-  const ObservatoryOptions& options() const noexcept { return options_; }
-
   /// Writes timeseries.json, journeys.jsonl, flightrec.json and events.log
   /// under `dir` (created if missing); `write_event_log` streams the event
   /// log's lines into events.log. Returns false if any file could not be
@@ -49,7 +48,6 @@ class Observatory {
                        const std::function<void(std::ostream&)>& write_event_log) const;
 
  private:
-  ObservatoryOptions options_;
   TimeSeriesStore series_;
   JourneyLog journeys_;
   FlightRecorder flight_;

@@ -4,14 +4,13 @@
 #include <limits>
 #include <unordered_map>
 
-#include "deploy/codec.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace iotml::ota {
 
-using deploy::ByteReader;
-using deploy::ByteWriter;
-using deploy::narrow_u32;
+using util::ByteReader;
+using util::ByteWriter;
 
 namespace {
 
@@ -49,9 +48,9 @@ std::vector<std::uint8_t> Patch::encode() const {
   w.u32(base_checksum);
   w.u32(target_checksum);
   w.u32(target_size);
-  w.u32(narrow_u32(ops.size(), "patch op count"));
+  w.u32(util::narrow_u32(ops.size(), "patch op count"));
   for (const PatchOp& op : ops) {
-    w.u8(deploy::enum_u8(op.kind));
+    w.u8(util::enum_u8(op.kind));
     w.u32(op.length);
     if (op.kind == OpKind::kCopy) {
       w.u32(op.base_offset);
@@ -89,10 +88,10 @@ Patch Patch::decode(const std::vector<std::uint8_t>& bytes) {
   for (std::uint32_t i = 0; i < count; ++i) {
     PatchOp op;
     const std::uint8_t kind = r.u8();
-    IOTML_CHECK(kind == deploy::enum_u8(OpKind::kCopy) ||
-                    kind == deploy::enum_u8(OpKind::kData),
+    IOTML_CHECK(kind == util::enum_u8(OpKind::kCopy) ||
+                    kind == util::enum_u8(OpKind::kData),
                 "Patch::decode: unknown op kind");
-    op.kind = kind == deploy::enum_u8(OpKind::kCopy) ? OpKind::kCopy : OpKind::kData;
+    op.kind = kind == util::enum_u8(OpKind::kCopy) ? OpKind::kCopy : OpKind::kData;
     op.length = r.u32();
     if (op.kind == OpKind::kCopy) {
       op.base_offset = r.u32();
@@ -160,7 +159,7 @@ Patch diff(const std::vector<std::uint8_t>& base,
   Patch p;
   p.base_checksum = image_checksum(base);
   p.target_checksum = image_checksum(target);
-  p.target_size = narrow_u32(target.size(), "patch target size");
+  p.target_size = util::narrow_u32(target.size(), "patch target size");
 
   // Index every base position by its seed window. Positions are kept in
   // ascending order; candidate lists are scanned newest-first so long
@@ -170,7 +169,7 @@ Patch diff(const std::vector<std::uint8_t>& base,
   if (base.size() >= params.seed_bytes) {
     for (std::size_t i = 0; i + params.seed_bytes <= base.size(); ++i) {
       index[seed_key(base.data() + i, params.seed_bytes)].push_back(
-          narrow_u32(i, "diff base offset"));
+          util::narrow_u32(i, "diff base offset"));
     }
   }
 
@@ -179,7 +178,7 @@ Patch diff(const std::vector<std::uint8_t>& base,
     if (pending.empty()) return;
     PatchOp op;
     op.kind = OpKind::kData;
-    op.length = narrow_u32(pending.size(), "diff literal length");
+    op.length = util::narrow_u32(pending.size(), "diff literal length");
     op.data = std::move(pending);
     pending.clear();
     p.ops.push_back(std::move(op));
@@ -214,8 +213,8 @@ Patch diff(const std::vector<std::uint8_t>& base,
       flush_pending();
       PatchOp op;
       op.kind = OpKind::kCopy;
-      op.base_offset = narrow_u32(best_off, "diff copy offset");
-      op.length = narrow_u32(best_len, "diff copy length");
+      op.base_offset = util::narrow_u32(best_off, "diff copy offset");
+      op.length = util::narrow_u32(best_len, "diff copy length");
       p.ops.push_back(op);
       t += best_len;
     } else {

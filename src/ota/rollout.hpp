@@ -8,9 +8,9 @@
 
 namespace iotml::ota {
 
-/// Tuning of the epochal OTA loop (see DESIGN.md §14). Defaults are sized
-/// for the fleet simulator's compiled-model artifacts (hundreds of bytes to
-/// a few KB) and its second-scale learning windows.
+/// Settings of the epochal OTA loop (see DESIGN.md §14). The loop's timers,
+/// round limits and probe size are fixed constants of the fleet simulator,
+/// the one user of the loop.
 struct OtaConfig {
   bool enabled = false;
 
@@ -28,34 +28,9 @@ struct OtaConfig {
   /// costs one chunk retransmit, large enough that framing stays < 20%.
   std::size_t chunk_bytes = 96;
 
-  /// Resume rounds (re-request of missing chunks) per device per version
-  /// before falling back to a full-image transfer, and full-image rounds
-  /// before the device is ledgered as stuck for that epoch.
-  int max_resume_rounds = 3;
-  int max_full_rounds = 2;
-
   /// A canary verdict promotes unless pooled new-model accuracy drops more
   /// than this below pooled old-model accuracy on the same probe rows.
   double regression_tolerance = 0.02;
-
-  /// Recent rows each canary device scores with both models for the probe.
-  std::size_t probe_rows = 32;
-
-  /// Per-transfer resume timer: after this long the core re-sends a
-  /// device's still-missing chunks (the sim's stand-in for a NACK round).
-  double resume_timeout_s = 2.0;
-
-  /// Canary verdict fires this long after the rollout starts — enough for
-  /// chunks, commits and probe reports to cross the tree once.
-  double verdict_delay_s = 6.0;
-
-  /// Deterministic per-epoch retrain jitter drawn from the `epoch` rng
-  /// stream, desynchronizing retrains from the flush schedule.
-  double epoch_jitter_s = 0.5;
-
-  /// An epoch without at least this many labeled core rows builds nothing
-  /// (outcome "no-data" in the ledger).
-  std::size_t min_train_rows = 8;
 };
 
 /// One canary device's A/B probe result: the same `rows` recent rows scored

@@ -32,21 +32,6 @@ std::uint32_t VersionChain::head_id() const noexcept {
   return links_.empty() ? 0 : links_.back().id;
 }
 
-const VersionLink* VersionChain::find_by_checksum(
-    std::uint32_t target_checksum) const noexcept {
-  for (const VersionLink& link : links_) {
-    if (link.target_checksum == target_checksum) return &link;
-  }
-  return nullptr;
-}
-
-const VersionLink* VersionChain::find_by_id(std::uint32_t id) const noexcept {
-  for (const VersionLink& link : links_) {
-    if (link.id == id) return &link;
-  }
-  return nullptr;
-}
-
 std::uint32_t DeviceImageStore::current_checksum() const noexcept {
   return current_id_ == 0 ? kEmptyImageChecksum : image_checksum(current_);
 }

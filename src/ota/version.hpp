@@ -49,11 +49,6 @@ class VersionChain {
   /// Id of the current head (0 when empty).
   std::uint32_t head_id() const noexcept;
 
-  /// Find a link by target checksum; nullptr when unknown.
-  const VersionLink* find_by_checksum(std::uint32_t target_checksum) const noexcept;
-  /// Find a link by id; nullptr when unknown (or retired).
-  const VersionLink* find_by_id(std::uint32_t id) const noexcept;
-
  private:
   std::vector<VersionLink> links_;
 };

@@ -60,7 +60,12 @@ data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
   reports_.clear();
   obs::Span run_span("pipeline.run", "pipeline");
   for (const auto& stage : stages_) {
-    obs::Span span("stage:" + stage->name(), "pipeline");
+    // A fleet runs its device tier once per device flush, so the span's name
+    // and arguments are built only when tracing is on, and the instruments
+    // are looked up once.
+    obs::Span span(obs::trace(),
+                   obs::trace().enabled() ? "stage:" + stage->name() : std::string(),
+                   "pipeline");
     const std::int64_t start_us = obs::now_us();
     StageReport report = stage->apply(input, rng);
     // Concrete iotml stages self-measure their body; keep that tighter
@@ -70,17 +75,20 @@ data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
       // det-sanctioned: wall_time_us feeds obs spans only; deterministic artifacts omit it
       report.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
     }
-    span.arg("player", report.player);
-    span.arg("tier", tier_name(report.tier));
-    span.arg("rows_in", static_cast<std::uint64_t>(report.rows_in));
-    span.arg("rows_out", static_cast<std::uint64_t>(report.rows_out));
-    span.arg("columns_out", static_cast<std::uint64_t>(report.columns_out));
-    span.arg("missing_rate_in", report.missing_rate_in);
-    span.arg("missing_rate_out", report.missing_rate_out);
-    span.arg("cost", report.cost);
-    obs::registry().counter("pipeline.stages_run").add();
-    obs::registry().histogram("pipeline.stage_wall_us").record(
-        static_cast<double>(report.wall_time_us));
+    if (span.active()) {
+      span.arg("player", report.player);
+      span.arg("tier", tier_name(report.tier));
+      span.arg("rows_in", static_cast<std::uint64_t>(report.rows_in));
+      span.arg("rows_out", static_cast<std::uint64_t>(report.rows_out));
+      span.arg("columns_out", static_cast<std::uint64_t>(report.columns_out));
+      span.arg("missing_rate_in", report.missing_rate_in);
+      span.arg("missing_rate_out", report.missing_rate_out);
+      span.arg("cost", report.cost);
+    }
+    static obs::Counter& stages_run = obs::registry().counter("pipeline.stages_run");
+    static obs::Histogram& stage_wall_us = obs::registry().histogram("pipeline.stage_wall_us");
+    stages_run.add();
+    stage_wall_us.record(static_cast<double>(report.wall_time_us));
     reports_.push_back(std::move(report));
   }
   run_span.arg("stages", static_cast<std::uint64_t>(stages_.size()));

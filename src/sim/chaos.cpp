@@ -7,28 +7,14 @@
 
 namespace iotml::sim {
 
-std::string chaos_kind_name(ChaosKind kind) {
-  switch (kind) {
-    case ChaosKind::kPartitionStart: return "partition-start";
-    case ChaosKind::kPartitionEnd: return "partition-end";
-    case ChaosKind::kLossBurstStart: return "loss-burst-start";
-    case ChaosKind::kLossBurstEnd: return "loss-burst-end";
-    case ChaosKind::kCorruptionStart: return "corruption-start";
-    case ChaosKind::kCorruptionEnd: return "corruption-end";
-    case ChaosKind::kLoadStormStart: return "load-storm-start";
-    case ChaosKind::kLoadStormEnd: return "load-storm-end";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Sample alternating start/end pairs for one fleet-wide scenario over
 /// [0, duration_s). Mirrors net::make_fault_plan's outage sampler so the
 /// two plans share statistics and determinism discipline.
 void sample_windows(std::vector<ChaosEvent>& plan, double expected_windows,
-                    double mean_window_s, double duration_s, ChaosKind start,
-                    ChaosKind end, Rng& rng) {
+                    double mean_window_s, double duration_s, EventKind start,
+                    EventKind end, Rng& rng) {
   if (expected_windows <= 0.0 || mean_window_s <= 0.0) return;
   const double arrival_rate = expected_windows / duration_s;
   double t = rng.exponential(arrival_rate);
@@ -44,10 +30,8 @@ void sample_windows(std::vector<ChaosEvent>& plan, double expected_windows,
 
 }  // namespace
 
-std::vector<ChaosEvent> make_chaos_plan(const net::Topology& topo,
-                                        const ChaosParams& params,
-                                        double duration_s, Rng& rng) {
-  (void)topo;  // scenarios are fleet-wide; topology kept for future targeting
+std::vector<ChaosEvent> make_chaos_plan(const ChaosParams& params, double duration_s,
+                                        Rng& rng) {
   IOTML_CHECK(duration_s > 0.0, "make_chaos_plan: duration must be positive");
   IOTML_CHECK(params.partitions >= 0.0 && params.loss_bursts >= 0.0 &&
                   params.corruption_storms >= 0.0,
@@ -69,15 +53,15 @@ std::vector<ChaosEvent> make_chaos_plan(const net::Topology& topo,
               "make_chaos_plan: load_storm_factor must exceed 1");
   std::vector<ChaosEvent> plan;
   sample_windows(plan, params.partitions, params.partition_mean_s, duration_s,
-                 ChaosKind::kPartitionStart, ChaosKind::kPartitionEnd, rng);
+                 EventKind::kPartitionStart, EventKind::kPartitionEnd, rng);
   sample_windows(plan, params.loss_bursts, params.burst_mean_s, duration_s,
-                 ChaosKind::kLossBurstStart, ChaosKind::kLossBurstEnd, rng);
+                 EventKind::kLossBurstStart, EventKind::kLossBurstEnd, rng);
   sample_windows(plan, params.corruption_storms, params.storm_mean_s, duration_s,
-                 ChaosKind::kCorruptionStart, ChaosKind::kCorruptionEnd, rng);
+                 EventKind::kCorruptionStart, EventKind::kCorruptionEnd, rng);
   // Load storms sample strictly after every legacy scenario so plans with
   // load_storms == 0 replay the historical draw sequence byte-for-byte.
   sample_windows(plan, params.load_storms, params.load_storm_mean_s, duration_s,
-                 ChaosKind::kLoadStormStart, ChaosKind::kLoadStormEnd, rng);
+                 EventKind::kLoadStormStart, EventKind::kLoadStormEnd, rng);
   std::stable_sort(plan.begin(), plan.end(), [](const ChaosEvent& a, const ChaosEvent& b) {
     return std::tie(a.time_s, a.kind, a.target) < std::tie(b.time_s, b.kind, b.target);
   });

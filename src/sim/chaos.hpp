@@ -1,35 +1,23 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "net/topology.hpp"
+#include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace iotml::sim {
 
-/// Compound scenarios the chaos harness layers on top of the base
-/// net::FaultPlan. Every *Start is paired with its *End; magnitudes
-/// (burst drop probability, storm corruption probability) live in
-/// ChaosParams so an event stays a plain (time, kind, target) triple.
-enum class ChaosKind {
-  kPartitionStart,    ///< every edge<->core link severed (both directions)
-  kPartitionEnd,
-  kLossBurstStart,    ///< device->edge uplinks jump to burst_drop_prob
-  kLossBurstEnd,
-  kCorruptionStart,   ///< device->edge uplinks corrupt at storm_corrupt_prob
-  kCorruptionEnd,
-  kLoadStormStart,    ///< devices flush load_storm_factor times faster
-  kLoadStormEnd
-};
-
-std::string chaos_kind_name(ChaosKind kind);
-
-/// One scheduled chaos transition. Fleet-wide scenarios leave `target` 0.
+/// One scheduled chaos transition: a compound scenario layered on top of
+/// the base net::FaultPlan. `kind` is one of the eight chaos EventKinds
+/// (kPartitionStart/End, kLossBurstStart/End, kCorruptionStart/End,
+/// kLoadStormStart/End), and every *Start is paired with its *End.
+/// Magnitudes (burst drop probability, storm corruption probability) live in
+/// ChaosParams, so an event stays a plain (time, kind, target) triple.
+/// Fleet-wide scenarios leave `target` 0.
 struct ChaosEvent {
   double time_s = 0.0;
-  ChaosKind kind = ChaosKind::kPartitionStart;
+  EventKind kind = EventKind::kPartitionStart;
   std::size_t target = 0;
 };
 
@@ -67,8 +55,7 @@ struct ChaosParams {
 /// event queue. Throws InvalidArgument unless duration_s > 0, the rates
 /// and mean durations are non-negative and the burst/storm probabilities
 /// lie in [0, 1].
-std::vector<ChaosEvent> make_chaos_plan(const net::Topology& topo,
-                                        const ChaosParams& params,
-                                        double duration_s, Rng& rng);
+std::vector<ChaosEvent> make_chaos_plan(const ChaosParams& params, double duration_s,
+                                        Rng& rng);
 
 }  // namespace iotml::sim

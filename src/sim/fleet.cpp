@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "approx/confidence.hpp"
-#include "deploy/codec.hpp"
 #include "deploy/compile.hpp"
 #include "deploy/quantize.hpp"
 #include "learners/decision_tree.hpp"
@@ -22,6 +21,7 @@
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace iotml::sim {
@@ -155,6 +155,12 @@ void for_each_index_in_blocks(std::size_t count, const Work& work) {
   }
 }
 
+/// The core->edge downlink of deploy and OTA runs.
+constexpr net::LinkParams kCoreEdgeDownlink{
+    .latency_s = 0.005, .jitter_s = 0.001, .bandwidth_bytes_per_s = 1.25e6,
+    .drop_prob = 0.002, .duplicate_prob = 0.0, .max_retries = 2,
+    .retry_backoff_s = 0.02};
+
 /// Degrade summaries number their traces in a range of their own (top bit
 /// set), so the ladder's choices never shift the trace ids of row,
 /// artifact, prediction and patch frames, which flight notes carry.
@@ -196,7 +202,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   IOTML_CHECK(config.sensor_period_s > 0.0, "FleetSim: sensor period must be positive");
   IOTML_CHECK(config.sensor_dropout >= 0.0 && config.sensor_dropout < 1.0,
               "FleetSim: sensor dropout outside [0, 1)");
-  IOTML_CHECK(config.sensor_noise >= 0.0, "FleetSim: sensor noise must be >= 0");
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
   IOTML_CHECK(config.checkpoint_interval_s >= 0.0,
               "FleetSim: negative checkpoint interval");
@@ -209,9 +214,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     IOTML_CHECK(config.ota.chunk_bytes >= 1, "FleetSim: ota.chunk_bytes must be >= 1");
     IOTML_CHECK(config.ota.canary_fraction >= 0.0 && config.ota.canary_fraction <= 1.0,
                 "FleetSim: ota.canary_fraction outside [0, 1]");
-    IOTML_CHECK(config.ota.resume_timeout_s > 0.0 && config.ota.verdict_delay_s > 0.0,
-                "FleetSim: ota timeouts must be positive");
-    IOTML_CHECK(config.ota.epoch_jitter_s >= 0.0, "FleetSim: negative ota epoch jitter");
   }
   if (config.telemetry.enabled) {
     IOTML_CHECK(config.telemetry.scale_bits <= 52,
@@ -222,25 +224,16 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   if (config.degrade.enabled) {
     IOTML_CHECK(config.degrade.pin_level >= -1 && config.degrade.pin_level <= 3,
                 "FleetSim: degrade.pin_level outside [-1, 3]");
-    IOTML_CHECK(config.degrade.sample_rate > 0.0 && config.degrade.sample_rate <= 1.0,
-                "FleetSim: degrade.sample_rate outside (0, 1]");
-    IOTML_CHECK(config.degrade.sketch_capacity >= 1 &&
-                    config.degrade.countmin_width >= 1 &&
-                    config.degrade.countmin_depth >= 1,
-                "FleetSim: degrade sketch shapes must be >= 1");
     IOTML_CHECK(config.degrade.dead_letter_rate_ref > 0.0,
                 "FleetSim: degrade.dead_letter_rate_ref must be positive");
     IOTML_CHECK(config.degrade.checkpoint_lag_rows >= 1,
                 "FleetSim: degrade.checkpoint_lag_rows must be >= 1");
-    IOTML_CHECK(config.degrade.sketch_cost_base >= 0.0 &&
-                    config.degrade.sketch_cost_per_row >= 0.0,
-                "FleetSim: negative degrade sketch cost");
   }
   if (config.deploy.enabled || config.ota.enabled) {
     // Downlinks append after every uplink, so in the split loop below the
     // uplinks draw exactly the Rng streams a non-deploy run would assign.
     // OTA-only runs reuse the deploy link parameters for the return path.
-    topo_.add_downlinks(config.deploy.edge_device_link, config.deploy.core_edge_link);
+    topo_.add_downlinks(config.deploy.edge_device_link, kCoreEdgeDownlink);
   }
 
   // Fixed derivation order: every stream of randomness is split off the
@@ -332,11 +325,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   }
 
   if (config_.observatory.enabled) {
-    obs::ObservatoryOptions opts;
-    opts.series_capacity = config_.observatory.series_capacity;
-    opts.flight_ring = config_.observatory.flight_ring;
-    opts.journey_capacity = config_.observatory.journey_capacity;
-    obsy_.emplace(topo_.num_nodes(), opts);
+    obsy_.emplace(topo_.num_nodes());
     node_series_.resize(config.edges + 1);
   }
 
@@ -360,21 +349,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     sched_.push(f.time_s, kind, f.target);
   }
 
-  const std::vector<ChaosEvent> chaos =
-      make_chaos_plan(topo_, config.chaos, config.duration_s, chaos_rng_);
-  for (const ChaosEvent& c : chaos) {
-    EventKind kind = EventKind::kPartitionStart;
-    switch (c.kind) {
-      case ChaosKind::kPartitionStart: kind = EventKind::kPartitionStart; break;
-      case ChaosKind::kPartitionEnd: kind = EventKind::kPartitionEnd; break;
-      case ChaosKind::kLossBurstStart: kind = EventKind::kLossBurstStart; break;
-      case ChaosKind::kLossBurstEnd: kind = EventKind::kLossBurstEnd; break;
-      case ChaosKind::kCorruptionStart: kind = EventKind::kCorruptionStart; break;
-      case ChaosKind::kCorruptionEnd: kind = EventKind::kCorruptionEnd; break;
-      case ChaosKind::kLoadStormStart: kind = EventKind::kLoadStormStart; break;
-      case ChaosKind::kLoadStormEnd: kind = EventKind::kLoadStormEnd; break;
-    }
-    sched_.push(c.time_s, kind, c.target);
+  for (const ChaosEvent& c : make_chaos_plan(config.chaos, config.duration_s, chaos_rng_)) {
+    sched_.push(c.time_s, c.kind, c.target);
   }
 
   if (config.checkpoint_interval_s > 0.0) {
@@ -391,6 +367,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
 
 void FleetSim::generate_device_data() {
   static const char* kQuantity[3] = {"temperature", "humidity", "wind"};
+  /// Base measurement noise, scaled per quantity by kNoiseScale.
+  static constexpr double kSensorNoise = 0.4;
   static constexpr double kNoiseScale[3] = {1.0, 2.5, 1.5};
   const std::size_t devices = config_.devices;
   device_data_.resize(devices);
@@ -424,7 +402,7 @@ void FleetSim::generate_device_data() {
       spec.name = kQuantity[q];
       spec.period_s = config_.sensor_period_s * rng.uniform(0.9, 1.1);
       spec.clock_jitter_s = 0.02;
-      spec.noise_std = config_.sensor_noise * kNoiseScale[q];
+      spec.noise_std = kSensorNoise * kNoiseScale[q];
       spec.dropout_prob = config_.sensor_dropout;
       pipeline::simulate_sensor(spec, truths_[q], horizon_s, rng, streams[d][q]);
     }
@@ -848,6 +826,19 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
 
 // ---- Graceful-degradation ladder (DESIGN.md §16) --------------------------
 
+namespace {
+
+constexpr double kSampleRate = 0.25;          ///< L1 per-stratum sampling rate
+constexpr std::size_t kSketchCapacity = 256;  ///< L2 bottom-k quantile sample size
+constexpr std::size_t kCountMinWidth = 64;    ///< L2 count-min shape
+constexpr std::size_t kCountMinDepth = 4;
+/// Virtual cost of the L2 sketch reduce (edge tier), in the integration
+/// stage's base + per-row shape; bench_degrade gates on its ratio to L0.
+constexpr double kSketchCostBase = 0.02;
+constexpr double kSketchCostPerRow = 0.0005;
+
+}  // namespace
+
 approx::DegradeSignals FleetSim::degrade_signals(std::size_t edge_index,
                                                  double now_s) {
   approx::DegradeSignals s;
@@ -975,8 +966,7 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
 
   const std::int64_t start_us = obs::now_us();
   const std::vector<std::size_t> keep =
-      approx::stratified_indices(live, config_.degrade.sample_rate,
-                                 degrade_rng_);
+      approx::stratified_indices(live, kSampleRate, degrade_rng_);
 
   // The bounded-error contract: the realized error of the sampled window
   // mean (first measured quantity) against the exact full-window answer,
@@ -1069,8 +1059,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
     // quantity. Both are mergeable and byte-stable, so the core could fold
     // summaries from many edges in any order; the retained sample doubles
     // as the CI input.
-    approx::CountMinSketch tally(config_.degrade.countmin_width,
-                                 config_.degrade.countmin_depth, config_.seed);
+    approx::CountMinSketch tally(kCountMinWidth, kCountMinDepth, config_.seed);
     std::size_t tiled = 0;
     for (const approx::Stratum& s : buf.strata) tiled += s.count;
     if (!buf.strata.empty() && tiled == population) {
@@ -1078,7 +1067,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
     } else {
       tally.add(e, population);
     }
-    approx::QuantileSketch quant(config_.degrade.sketch_capacity, config_.seed);
+    approx::QuantileSketch quant(kSketchCapacity, config_.seed);
     const data::Column& col = buf.rows.column(1);
     const std::uint64_t key_base = static_cast<std::uint64_t>(e) << 32;
     for (std::size_t r = 0; r < population; ++r) {
@@ -1107,8 +1096,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
     wire_bytes += tally.encode().size() + quant.encode().size();
     ++d.windows_sketch;
     st.stage_name = "degrade(sketch-reduce)";
-    st.cost = config_.degrade.sketch_cost_base +
-              config_.degrade.sketch_cost_per_row * static_cast<double>(population);
+    st.cost = kSketchCostBase + kSketchCostPerRow * static_cast<double>(population);
   } else {
     // L3 summary-only: the edge reports a bare row count and sheds the
     // window; fresh deploy artifacts also stop relaying through it (see
@@ -2182,6 +2170,24 @@ void FleetSim::handle_prediction_arrival(const Event& event) {
 
 // ---- OTA delta updates (DESIGN.md §14) ------------------------------------
 
+namespace {
+
+/// Resume rounds (re-sends of a transfer's missing chunks) before it falls
+/// back to the full image, then full-image rounds before the device is
+/// ledgered stuck for that epoch.
+constexpr int kMaxResumeRounds = 3;
+constexpr int kMaxFullRounds = 2;
+/// Resume timer: the simulator's stand-in for a NACK round.
+constexpr double kResumeTimeoutS = 2.0;
+/// Rollout start to canary verdict: time for chunks, commits and probe
+/// reports to cross the tree once.
+constexpr double kVerdictDelayS = 6.0;
+constexpr std::size_t kProbeRows = 32;    ///< recent rows a canary scores with both models
+constexpr double kEpochJitterS = 0.5;     ///< retrain jitter bound (`epoch` stream)
+constexpr std::size_t kMinTrainRows = 8;  ///< fewer labeled core rows: outcome "no-data"
+
+}  // namespace
+
 void FleetSim::schedule_ota_epochs() {
   // Epochs fire *inside* the learning window, evenly spaced at
   // duration * (e+1)/(epochs+1), plus a seeded jitter that desynchronizes
@@ -2190,9 +2196,7 @@ void FleetSim::schedule_ota_epochs() {
   for (int e = 0; e < config_.ota.epochs; ++e) {
     const double base = config_.duration_s * static_cast<double>(e + 1) /
                         static_cast<double>(config_.ota.epochs + 1);
-    const double jitter = config_.ota.epoch_jitter_s > 0.0
-                              ? epoch_rng_.uniform(0.0, config_.ota.epoch_jitter_s)
-                              : 0.0;
+    const double jitter = epoch_rng_.uniform(0.0, kEpochJitterS);
     sched_.push(base + jitter, EventKind::kOtaEpoch, topo_.core(),
                 static_cast<std::size_t>(e));
   }
@@ -2226,7 +2230,7 @@ void FleetSim::handle_ota_epoch(const Event& event) {
     entry.outcome = "core-down";
     return;
   }
-  if (core_buffer_.rows.rows() < config_.ota.min_train_rows) {
+  if (core_buffer_.rows.rows() < kMinTrainRows) {
     entry.outcome = "no-data";
     return;
   }
@@ -2314,9 +2318,9 @@ void FleetSim::handle_ota_epoch(const Event& event) {
     rollout.verdict_issued = true;
     rollout.promoted = true;
     ota_chain_.append(rollout.version_id, rollout.target_checksum,
-                      deploy::narrow_u32(rollout.image.size(), "ota image bytes"),
-                      deploy::narrow_u32(rollout.full.patch_bytes().size(),
-                                         "ota patch bytes"));
+                      util::narrow_u32(rollout.image.size(), "ota image bytes"),
+                      util::narrow_u32(rollout.full.patch_bytes().size(),
+                                       "ota patch bytes"));
     ota_head_image_ = rollout.image;
     for (std::size_t d = 0; d < config_.devices; ++d) {
       start_ota_transfer(d, r, event.time_s);
@@ -2329,8 +2333,7 @@ void FleetSim::handle_ota_epoch(const Event& event) {
   for (std::uint32_t d : rollout.cohort) {
     start_ota_transfer(d, r, event.time_s);
   }
-  sched_.push(event.time_s + config_.ota.verdict_delay_s, EventKind::kOtaVerdict,
-              topo_.core(), r);
+  sched_.push(event.time_s + kVerdictDelayS, EventKind::kOtaVerdict, topo_.core(), r);
 }
 
 void FleetSim::start_ota_transfer(std::size_t device_index,
@@ -2360,8 +2363,7 @@ void FleetSim::start_ota_transfer(std::size_t device_index,
   std::vector<std::size_t> all(chunked.num_chunks());
   std::iota(all.begin(), all.end(), std::size_t{0});
   send_ota_chunks(idx, all, now_s);
-  sched_.push(now_s + config_.ota.resume_timeout_s, EventKind::kOtaResume,
-              topo_.device(device_index), idx);
+  sched_.push(now_s + kResumeTimeoutS, EventKind::kOtaResume, topo_.device(device_index), idx);
 }
 
 void FleetSim::send_ota_chunks(std::size_t transfer_index,
@@ -2513,7 +2515,7 @@ ota::CanaryProbe FleetSim::ota_probe(std::size_t device_index,
   const data::Dataset& all = device_data_[device_index];
   std::size_t upto = 0;
   while (upto < all.rows() && all.column(0).numeric(upto) < now_s) ++upto;
-  const std::size_t count = std::min(config_.ota.probe_rows, upto);
+  const std::size_t count = std::min(kProbeRows, upto);
   if (count == 0) return probe;
 
   deploy::DeviceRuntime old_rt(deploy::CompiledModel::decode(old_image));
@@ -2591,7 +2593,7 @@ void FleetSim::handle_ota_resume(const Event& event) {
   }
   if (want.empty()) return;  // complete; the commit path already ran
 
-  if (t.resume_rounds < config_.ota.max_resume_rounds) {
+  if (t.resume_rounds < kMaxResumeRounds) {
     ++t.resume_rounds;
     ++ota.resume_rounds;
     obs::registry().counter("ota.resume_rounds").add();
@@ -2610,7 +2612,7 @@ void FleetSim::handle_ota_resume(const Event& event) {
     std::vector<std::size_t> all(ro.full.num_chunks());
     std::iota(all.begin(), all.end(), std::size_t{0});
     send_ota_chunks(idx, all, event.time_s);
-  } else if (t.full_rounds < config_.ota.max_full_rounds) {
+  } else if (t.full_rounds < kMaxFullRounds) {
     ++t.full_rounds;
     t.resume_rounds = 0;
     t.applier.reset();
@@ -2630,8 +2632,8 @@ void FleetSim::handle_ota_resume(const Event& event) {
     }
     return;
   }
-  sched_.push(event.time_s + config_.ota.resume_timeout_s, EventKind::kOtaResume,
-              topo_.device(t.device), idx);
+  sched_.push(event.time_s + kResumeTimeoutS, EventKind::kOtaResume, topo_.device(t.device),
+              idx);
 }
 
 void FleetSim::handle_ota_verdict(const Event& event) {
@@ -2672,11 +2674,11 @@ void FleetSim::handle_ota_verdict(const Event& event) {
     ++ota.promotions;
     ro.promoted = true;
     ota_chain_.append(ro.version_id, ro.target_checksum,
-                      deploy::narrow_u32(ro.image.size(), "ota image bytes"),
-                      deploy::narrow_u32(ro.has_delta
-                                             ? ro.delta.patch_bytes().size()
-                                             : ro.full.patch_bytes().size(),
-                                         "ota patch bytes"));
+                      util::narrow_u32(ro.image.size(), "ota image bytes"),
+                      util::narrow_u32(ro.has_delta
+                                           ? ro.delta.patch_bytes().size()
+                                           : ro.full.patch_bytes().size(),
+                                       "ota patch bytes"));
     ota_head_image_ = ro.image;
     obs::registry().counter("ota.promotions").add();
     if (obsy_) {

@@ -59,26 +59,22 @@ struct DeployConfig {
   /// (DeploySummary::devices_stale, FaultLedger::stale_model_devices).
   bool stale_fallback = false;
 
+  /// The edge->device downlink. The core->edge downlink always uses
+  /// FleetSim's fixed kCoreEdgeDownlink.
   net::LinkParams edge_device_link{
       .latency_s = 0.02, .jitter_s = 0.005, .bandwidth_bytes_per_s = 125000.0,
       .drop_prob = 0.02, .duplicate_prob = 0.005, .max_retries = 1,
       .retry_backoff_s = 0.05};
-  net::LinkParams core_edge_link{
-      .latency_s = 0.005, .jitter_s = 0.001, .bandwidth_bytes_per_s = 1.25e6,
-      .drop_prob = 0.002, .duplicate_prob = 0.0, .max_retries = 2,
-      .retry_backoff_s = 0.02};
 };
 
 /// The fleet observatory (DESIGN.md §13): virtual-clock time-series, causal
 /// journey tracing and per-entity flight recorders. Off by default. When on
 /// it is purely observational — it draws no randomness, schedules nothing
 /// and changes no wire byte, so a run emits byte-identical event logs and
-/// rows/latency numbers with the observatory on or off.
+/// rows/latency numbers with the observatory on or off. Its buffers have
+/// obs::Observatory's fixed capacities.
 struct ObservatoryConfig {
   bool enabled = false;
-  std::size_t series_capacity = 512;       ///< samples kept per (metric, entity, tier)
-  std::size_t flight_ring = 32;            ///< events kept per entity
-  std::size_t journey_capacity = 1 << 20;  ///< hop records kept per run
 
   /// When non-empty, run() writes timeseries.json, journeys.jsonl,
   /// flightrec.json and events.log under this directory (created if
@@ -99,7 +95,7 @@ struct TelemetryConfig {
 
   /// Fixed-point resolution: readings are rounded to multiples of
   /// 2^-scale_bits before encoding. The default (1/256 ≈ 0.004) sits far
-  /// below the configured sensor noise (0.4), so quantization is lossless
+  /// below the fleet's base sensor noise (0.4), so quantization is lossless
   /// relative to measurement error while the scaled-varint delta streams
   /// engage. Must be ≤ 52 (checked by FleetSim).
   std::uint8_t scale_bits = 8;
@@ -129,6 +125,8 @@ struct TelemetryConfig {
 /// drawn from, and runs are byte-identical to pre-ladder builds. When on
 /// with pin_level = 0 the ladder never leaves L0, which must also reproduce
 /// the legacy event log and report byte-for-byte (tested against goldens).
+/// The L1 sampling rate and the L2 sketch shapes and costs are fixed
+/// constants of FleetSim (DESIGN.md §16).
 struct DegradeConfig {
   bool enabled = false;
 
@@ -139,24 +137,10 @@ struct DegradeConfig {
   /// Hysteresis bands and de-escalation dwell (see approx::DegradeThresholds).
   approx::DegradeThresholds thresholds;
 
-  /// L1 per-stratum sampling rate in (0, 1].
-  double sample_rate = 0.25;
-
-  /// L2 sketch shapes.
-  std::size_t sketch_capacity = 256;  ///< bottom-k quantile sample size
-  std::size_t countmin_width = 64;
-  std::size_t countmin_depth = 4;
-
   /// Signal normalization: dead letters per second that count as pressure
   /// 1.0, and un-checkpointed buffered rows that count as lag 1.0.
   double dead_letter_rate_ref = 1.0;
   std::size_t checkpoint_lag_rows = 4096;
-
-  /// Virtual cost model of the L2 sketch reduce (edge tier), mirroring the
-  /// integration stage's base + per-row shape. The degradation bench gates
-  /// on the realized ratio against the exact pipeline.
-  double sketch_cost_base = 0.02;
-  double sketch_cost_per_row = 0.0005;
 };
 
 /// Everything a fleet run depends on. A (config, pipeline) pair fully
@@ -203,7 +187,6 @@ struct FleetConfig {
 
   double sensor_period_s = 0.5;  ///< nominal sampling period per sensor
   double sensor_dropout = 0.05;  ///< per-sample loss at the sensor itself, in [0, 1)
-  double sensor_noise = 0.4;     ///< base measurement noise (scaled per quantity), >= 0
   std::size_t feature_keep = 3;  ///< core-side MI feature selection budget
 
   DeployConfig deploy;

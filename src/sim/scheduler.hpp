@@ -28,6 +28,9 @@ enum class EventKind {
   kEdgeRestart,        ///< edge restores its last checkpoint (target = edge index)
   kCoreCrash,          ///< core unreachable (its stored data stays durable)
   kCoreRestart,
+  // Chaos transitions (ChaosEvent::kind). Chaos plans sort by (time, kind,
+  // target), so these keep their relative order: partition, loss burst,
+  // corruption, load storm.
   kPartitionStart,     ///< chaos: every edge<->core link severed
   kPartitionEnd,
   kLossBurstStart,     ///< chaos: device uplinks jump to burst drop prob

@@ -7,6 +7,7 @@
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::tdf {
 
@@ -260,7 +261,7 @@ std::vector<std::uint8_t> encode_frame(const Schema& schema,
   w.u8(origin_tag);
   for (std::uint8_t b : origin_payload) w.u8(b);
 
-  const std::uint32_t trailer = util::fnv1a(w.bytes().data(), w.size());
+  const std::uint32_t trailer = fnv1a32(w.bytes().data(), w.size());
   w.u32(trailer);
   return w.take();
 }
@@ -276,7 +277,7 @@ bool frame_intact(const std::vector<std::uint8_t>& bytes) {
   for (std::size_t i = 0; i < 4; ++i) {
     stamped |= static_cast<std::uint32_t>(bytes[body + i]) << (8 * i);
   }
-  return util::fnv1a(bytes.data(), body) == stamped;
+  return fnv1a32(bytes.data(), body) == stamped;
 }
 
 Frame decode_frame(const std::vector<std::uint8_t>& bytes, SchemaRegistry& registry) {

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::tdf {
 
@@ -25,7 +26,7 @@ std::vector<std::uint8_t> encode_fields(const std::vector<FieldSpec>& fields) {
 
 Schema::Schema(std::vector<FieldSpec> fields) : fields_(std::move(fields)) {
   blob_ = encode_fields(fields_);
-  id_ = util::fnv1a(blob_.data(), blob_.size());
+  id_ = fnv1a32(blob_.data(), blob_.size());
 }
 
 Schema Schema::infer(const data::Dataset& ds, std::uint8_t scale_bits) {

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "util/error.hpp"
-#include "util/fnv.hpp"
 
 namespace iotml::util {
 
@@ -154,10 +153,6 @@ std::int16_t narrow_i16(long long v, const char* what) {
                   v <= std::numeric_limits<std::int16_t>::max(),
               std::string("narrow_i16: ") + what + " out of range");
   return static_cast<std::int16_t>(v);
-}
-
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  return iotml::fnv1a32(data, size);
 }
 
 }  // namespace iotml::util

@@ -110,10 +110,4 @@ std::uint32_t narrow_u32(std::size_t v, const char* what);
 std::int8_t narrow_i8(long long v, const char* what);
 std::int16_t narrow_i16(long long v, const char* what);
 
-/// FNV-1a over a byte range — the trailer checksum of every wire format in
-/// the tree. Delegates to the shared iotml::fnv1a32 (src/util/fnv.hpp), the
-/// one implementation the net payload checksum and the ota patch codec also
-/// use.
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size);
-
 }  // namespace iotml::util

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -175,7 +177,6 @@ TEST(Channel, DownLinkTimesOutImmediately) {
 // ---- Fault and chaos plan determinism ----------------------------------------
 
 TEST(ChaosPlan, DeterministicPerSeedAndPaired) {
-  const net::Topology topo = net::Topology::fleet(8, 2, {}, {});
   ChaosParams params;
   params.partitions = 2.0;
   params.loss_bursts = 2.0;
@@ -183,8 +184,8 @@ TEST(ChaosPlan, DeterministicPerSeedAndPaired) {
 
   Rng rng_a(99);
   Rng rng_b(99);
-  const std::vector<ChaosEvent> a = make_chaos_plan(topo, params, 60.0, rng_a);
-  const std::vector<ChaosEvent> b = make_chaos_plan(topo, params, 60.0, rng_b);
+  const std::vector<ChaosEvent> a = make_chaos_plan(params, 60.0, rng_a);
+  const std::vector<ChaosEvent> b = make_chaos_plan(params, 60.0, rng_b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
@@ -198,14 +199,14 @@ TEST(ChaosPlan, DeterministicPerSeedAndPaired) {
   for (const ChaosEvent& e : a) {
     EXPECT_GE(e.time_s, last_t);
     last_t = e.time_s;
-    if (e.kind == ChaosKind::kPartitionStart) ++depth_partition;
-    if (e.kind == ChaosKind::kPartitionEnd) --depth_partition;
+    if (e.kind == EventKind::kPartitionStart) ++depth_partition;
+    if (e.kind == EventKind::kPartitionEnd) --depth_partition;
     EXPECT_GE(depth_partition, 0);
   }
   EXPECT_EQ(depth_partition, 0);
 
   Rng rng_c(100);
-  const std::vector<ChaosEvent> c = make_chaos_plan(topo, params, 60.0, rng_c);
+  const std::vector<ChaosEvent> c = make_chaos_plan(params, 60.0, rng_c);
   bool identical = a.size() == c.size();
   for (std::size_t i = 0; identical && i < a.size(); ++i) {
     identical = a[i].time_s == c[i].time_s && a[i].kind == c[i].kind;
@@ -235,15 +236,14 @@ TEST(FaultPlan, CrashSchedulesDeterministicPerSeed) {
 }
 
 TEST(ChaosPlan, Validation) {
-  const net::Topology topo = net::Topology::fleet(4, 1, {}, {});
   Rng rng(1);
   ChaosParams bad;
   bad.partitions = -1.0;
-  EXPECT_THROW(make_chaos_plan(topo, bad, 10.0, rng), InvalidArgument);
+  EXPECT_THROW(make_chaos_plan(bad, 10.0, rng), InvalidArgument);
   bad = {};
   bad.burst_drop_prob = 1.5;
-  EXPECT_THROW(make_chaos_plan(topo, bad, 10.0, rng), InvalidArgument);
-  EXPECT_THROW(make_chaos_plan(topo, {}, 0.0, rng), InvalidArgument);
+  EXPECT_THROW(make_chaos_plan(bad, 10.0, rng), InvalidArgument);
+  EXPECT_THROW(make_chaos_plan({}, 0.0, rng), InvalidArgument);
 }
 
 // ---- Fleet under chaos -------------------------------------------------------
@@ -427,13 +427,30 @@ TEST(FleetChaos, RecoveryCountersLandInRegistry) {
   obs::registry().reset();
   FleetConfig config = chaos_config(17);
   enable_fault_tolerance(config);
+  // One-deep queues, 1 s flushes, loss bursts and heavy corruption storms:
+  // every net.channel.* counter moves.
+  config.channel.queue_capacity = 1;
+  config.device_flush_s = 1.0;
+  config.chaos.loss_bursts = 2.0;
+  config.chaos.burst_drop_prob = 0.6;
+  config.chaos.corruption_storms = 2.0;
+  config.chaos.storm_corrupt_prob = 0.3;
   FleetSim fleet(config);
   const FleetReport r = fleet.run();
   EXPECT_EQ(obs::registry().counter("sim.recovery.checkpoints_written").value(),
             r.faults.checkpoints_written);
   EXPECT_EQ(obs::registry().counter("sim.faults.edge_crash").value(), r.faults.edge_crashes);
-  EXPECT_EQ(obs::registry().counter("net.channel.acks").value(), r.channels.acks);
-  EXPECT_EQ(obs::registry().counter("net.channel.retransmits").value(), r.channels.retransmits);
+  const std::pair<const char*, std::uint64_t> channel_counters[] = {
+      {"net.channel.acks", r.channels.acks},
+      {"net.channel.retransmits", r.channels.retransmits},
+      {"net.channel.timeouts", r.channels.timeouts},
+      {"net.channel.backoff_waits", r.channels.backoff_waits},
+      {"net.channel.corrupt_rejected", r.channels.corrupt_rejected},
+      {"net.channel.dead_letters", r.channels.dead_letters}};
+  for (const auto& [name, reported] : channel_counters) {
+    EXPECT_GT(reported, 0u) << name;
+    EXPECT_EQ(obs::registry().counter(name).value(), reported) << name;
+  }
 }
 
 // ---- Degraded deploy modes ---------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::wire_mutation {
 
@@ -21,7 +22,7 @@ namespace iotml::wire_mutation {
 inline std::vector<std::uint8_t> inflated(std::vector<std::uint8_t> bytes, std::size_t at) {
   for (std::size_t i = at; i < at + 4; ++i) bytes[i] = 0xFF;
   const std::size_t body = bytes.size() - 4;
-  const std::uint32_t sum = util::fnv1a(bytes.data(), body);
+  const std::uint32_t sum = fnv1a32(bytes.data(), body);
   for (std::size_t i = 0; i < 4; ++i) bytes[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
   return bytes;
 }
