@@ -196,15 +196,17 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
       topo_(net::Topology::fleet(config.devices, config.edges,
                                  config.device_edge_link, config.edge_core_link)),
       tiers_(split_by_tier(std::move(full_pipeline))) {
-  IOTML_CHECK(config.duration_s > 0.0, "FleetSim: duration must be positive");
-  IOTML_CHECK(config.device_flush_s > 0.0 && config.edge_flush_s > 0.0,
-              "FleetSim: flush intervals must be positive");
+  IOTML_CHECK(config.duration_s > 0.0 && std::isfinite(config.duration_s),
+              "FleetSim: duration must be positive and finite");
+  IOTML_CHECK(config.device_flush_s > 0.0 && config.edge_flush_s > 0.0 &&
+                  std::isfinite(config.device_flush_s) && std::isfinite(config.edge_flush_s),
+              "FleetSim: flush intervals must be positive and finite");
   IOTML_CHECK(config.sensor_period_s > 0.0, "FleetSim: sensor period must be positive");
   IOTML_CHECK(config.sensor_dropout >= 0.0 && config.sensor_dropout < 1.0,
               "FleetSim: sensor dropout outside [0, 1)");
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
-  IOTML_CHECK(config.checkpoint_interval_s >= 0.0,
-              "FleetSim: negative checkpoint interval");
+  IOTML_CHECK(config.checkpoint_interval_s >= 0.0 && std::isfinite(config.checkpoint_interval_s),
+              "FleetSim: checkpoint interval must be finite and non-negative");
   if (config.deploy.enabled) {
     IOTML_CHECK(config.deploy.score_window_s > 0.0,
                 "FleetSim: deploy score window must be positive");
@@ -355,10 +357,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
 
   if (config.checkpoint_interval_s > 0.0) {
     for (std::size_t e = 0; e < config.edges; ++e) {
-      for (double t = config.checkpoint_interval_s; t < config.duration_s;
-           t += config.checkpoint_interval_s) {
-        sched_.push(t, EventKind::kCheckpoint, e);
-      }
+      sched_.push_series(config.checkpoint_interval_s, config.checkpoint_interval_s,
+                         config.duration_s, EventKind::kCheckpoint, e);
     }
   }
 
@@ -452,18 +452,14 @@ void FleetSim::schedule_initial_events() {
     // in lockstep (real fleets desynchronize; ties would be FIFO anyway).
     const double phase =
         config_.device_flush_s * (static_cast<double>(d % 16) / 64.0);
-    for (double t = phase + config_.device_flush_s; t < config_.duration_s;
-         t += config_.device_flush_s) {
-      sched_.push(t, EventKind::kDeviceFlush, topo_.device(d));
-    }
+    sched_.push_series(phase + config_.device_flush_s, config_.device_flush_s,
+                       config_.duration_s, EventKind::kDeviceFlush, topo_.device(d));
     // Final flush drains whatever the window schedule left behind.
     sched_.push(config_.duration_s, EventKind::kDeviceFlush, topo_.device(d));
   }
   for (std::size_t e = 0; e < config_.edges; ++e) {
-    for (double t = config_.edge_flush_s; t < config_.duration_s;
-         t += config_.edge_flush_s) {
-      sched_.push(t, EventKind::kEdgeFlush, topo_.edge(e));
-    }
+    sched_.push_series(config_.edge_flush_s, config_.edge_flush_s, config_.duration_s,
+                       EventKind::kEdgeFlush, topo_.edge(e));
   }
 }
 

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "util/error.hpp"
@@ -51,32 +52,72 @@ std::string_view event_kind_name(EventKind kind) noexcept {
   return name;
 }
 
+// The log keeps each kind in one byte.
+static_assert(static_cast<int>(EventKind::kSummaryArrival) <= 0xFF);
+
 void Scheduler::push(double time_s, EventKind kind, std::size_t target,
                      std::size_t message) {
   IOTML_CHECK(time_s >= now_s_, "Scheduler::push: event scheduled into the past");
-  queue_.push({time_s, next_seq_++, kind, target, message});
+  IOTML_CHECK(target <= kMaxTarget, "Scheduler::push: target exceeds 32 bits");
+  enqueue({{time_s, next_seq_++, message, static_cast<std::uint32_t>(target),
+            static_cast<std::uint8_t>(kind)}});
+}
+
+void Scheduler::push_series(double first_s, double period_s, double until_s, EventKind kind,
+                            std::size_t target) {
+  IOTML_CHECK(first_s >= now_s_, "Scheduler::push_series: series starts before the current time");
+  IOTML_CHECK(std::isfinite(until_s), "Scheduler::push_series: series end is not finite");
+  IOTML_CHECK(period_s > 0.0 && std::isfinite(period_s),
+              "Scheduler::push_series: period must be positive and finite");
+  IOTML_CHECK(target <= kMaxTarget, "Scheduler::push_series: target exceeds 32 bits");
+  // The seq block is sized by walking the same sums pop() will take.
+  std::uint64_t count = 0;
+  for (double t = first_s; t < until_s; ++count) {
+    const double next_s = t + period_s;
+    IOTML_CHECK(next_s > t, "Scheduler::push_series: period too small to advance the clock");
+    t = next_s;
+  }
+  if (count == 0) return;
+  enqueue({{first_s, next_seq_, kNoMessage, static_cast<std::uint32_t>(target),
+            static_cast<std::uint8_t>(kind)},
+           period_s,
+           until_s});
+  next_seq_ += count;
+}
+
+void Scheduler::enqueue(const Entry& entry) {
+  queue_.push_back(entry);
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 Event Scheduler::pop() {
   IOTML_CHECK(!queue_.empty(), "Scheduler::pop: queue is empty");
-  Event event = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Entry& top = queue_.back();
+  const Record event = top.event;
+  // A series re-queues itself as its successor: one period later, with the
+  // next seq of its block. The successor never falls due before this event.
+  if (top.period_s > 0.0 && event.time_s + top.period_s < top.until_s) {
+    top.event.time_s = event.time_s + top.period_s;
+    ++top.event.seq;
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+  } else {
+    queue_.pop_back();
+  }
   now_s_ = event.time_s;
   popped_.push_back(event);
-  return event;
+  return {event.time_s, event.seq, static_cast<EventKind>(event.kind), event.target,
+          event.message};
 }
 
-namespace {
-
-/// Formats `event`'s log line into `line` (no newline); returns its length.
-std::size_t render(const Event& event, char (&line)[128]) {
-  const std::string_view kind = event_kind_name(event.kind);
+std::size_t Scheduler::render(const Record& event, char (&line)[128]) {
+  const std::string_view kind = event_kind_name(static_cast<EventKind>(event.kind));
   const int n =
       event.message == kNoMessage
-          ? std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu", event.time_s,
+          ? std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%u", event.time_s,
                           static_cast<unsigned long long>(event.seq),
                           static_cast<int>(kind.size()), kind.data(), event.target)
-          : std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu msg=%zu",
+          : std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%u msg=%zu",
                           event.time_s, static_cast<unsigned long long>(event.seq),
                           static_cast<int>(kind.size()), kind.data(), event.target,
                           event.message);
@@ -84,19 +125,17 @@ std::size_t render(const Event& event, char (&line)[128]) {
   return std::min(static_cast<std::size_t>(std::max(n, 0)), sizeof(line) - 1);
 }
 
-}  // namespace
-
 std::vector<std::string> Scheduler::log() const {
   std::vector<std::string> lines;
   lines.reserve(popped_.size());
   char line[128];
-  popped_.for_each([&](const Event& event) { lines.emplace_back(line, render(event, line)); });
+  popped_.for_each([&](const Record& event) { lines.emplace_back(line, render(event, line)); });
   return lines;
 }
 
 void Scheduler::write_log(std::ostream& out) const {
   char line[128];
-  popped_.for_each([&](const Event& event) {
+  popped_.for_each([&](const Record& event) {
     const std::size_t n = render(event, line);
     line[n] = '\n';
     out.write(line, static_cast<std::streamsize>(n + 1));

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,18 +76,39 @@ struct Event {
 
 /// Deterministic discrete-event queue over a virtual clock. Events pop in
 /// (time, push-order) order, so equal timestamps resolve FIFO and a run is
-/// a pure function of the pushes — no wall-clock reads anywhere (lint rule
-/// R6). Every pop keeps its 40-byte Event; the event log, which the
-/// determinism test compares byte-for-byte across runs, is rendered from
-/// those records only when it is read.
+/// a pure function of the pushes — no wall-clock reads anywhere (lint R6).
+/// A periodic series is queued one event at a time: the queue holds one
+/// entry per one-off event and one per live series, not every event a run
+/// will see. Every pop keeps a 32-byte record of its event; the event log,
+/// which the determinism test compares byte-for-byte across runs, is
+/// rendered from those records only when it is read.
 class Scheduler {
  public:
-  /// Throws InvalidArgument if `time_s` precedes the current virtual time
-  /// (an event cannot be scheduled into the past).
+  /// Targets are kept as 32 bits; a wider one is rejected at push.
+  static constexpr std::size_t kMaxTarget = 0xFFFFFFFFu;
+
+  /// Throws InvalidArgument, and queues nothing, if `time_s` precedes the
+  /// current virtual time (an event cannot be scheduled into the past) or
+  /// `target` exceeds kMaxTarget.
   void push(double time_s, EventKind kind, std::size_t target,
             std::size_t message = kNoMessage);
 
+  /// Schedules exactly the events of
+  /// `for (t = first_s; t < until_s; t += period_s) push(t, kind, target)`:
+  /// the same accumulated times and the same seqs, reserved as one block
+  /// now, so a later push() gets the seq after the block. Only the next
+  /// event is queued; pop() queues its successor. An empty series
+  /// (`first_s >= until_s`) reserves no seq. Throws InvalidArgument, and
+  /// changes nothing, if `first_s` precedes the current time, `until_s` is
+  /// not finite, `period_s` is not positive and finite or too small to
+  /// advance the clock, or `target` exceeds kMaxTarget.
+  void push_series(double first_s, double period_s, double until_s, EventKind kind,
+                   std::size_t target);
+
   bool empty() const noexcept { return queue_.empty(); }
+
+  /// Queued entries: each one-off event counts once, and so does each
+  /// series that still has events to pop, however many it has left.
   std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Pop the earliest event and advance the virtual clock to it. Throws
@@ -110,17 +130,41 @@ class Scheduler {
   void write_log(std::ostream& out) const;
 
  private:
+  /// An event as the queue and the log keep it: time, seq and message at
+  /// full width, the target as 32 bits and the kind as one byte.
+  struct Record {
+    double time_s = 0.0;
+    std::uint64_t seq = 0;
+    std::size_t message = kNoMessage;
+    std::uint32_t target = 0;
+    std::uint8_t kind = 0;
+  };
+  static_assert(sizeof(Record) <= 32, "a logged event is 32 bytes");
+
+  /// A queued event; a series' next event also carries the series' period
+  /// and end (`period_s` is 0 for a one-off event).
+  struct Entry {
+    Record event;
+    double period_s = 0.0;
+    double until_s = 0.0;
+  };
+
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time_s != b.time_s) return a.time_s > b.time_s;
-      return a.seq > b.seq;
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.event.time_s != b.event.time_s) return a.event.time_s > b.event.time_s;
+      return a.event.seq > b.event.seq;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  void enqueue(const Entry& entry);
+
+  /// Formats `event`'s log line into `line` (no newline); returns its length.
+  static std::size_t render(const Record& event, char (&line)[128]);
+
+  std::vector<Entry> queue_;  ///< a binary heap under Later
   std::uint64_t next_seq_ = 0;
   double now_s_ = 0.0;
-  ChunkedLog<Event> popped_;
+  ChunkedLog<Record> popped_;
 };
 
 }  // namespace iotml::sim

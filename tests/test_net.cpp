@@ -222,12 +222,16 @@ TEST(Faults, PlanIsSortedAndPaired) {
   std::size_t downs = 0;
   std::size_t ups = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (i > 0) EXPECT_GE(plan[i].time_s, plan[i - 1].time_s);
+    if (i > 0) {
+      EXPECT_GE(plan[i].time_s, plan[i - 1].time_s);
+    }
     EXPECT_GE(plan[i].time_s, 0.0);
     const bool is_down = plan[i].kind == FaultKind::kLinkDown ||
                          plan[i].kind == FaultKind::kDeviceDown;
     (is_down ? downs : ups) += 1;
-    if (is_down) EXPECT_LT(plan[i].time_s, 60.0);  // downs start inside the window
+    if (is_down) {
+      EXPECT_LT(plan[i].time_s, 60.0);  // downs start inside the window
+    }
   }
   EXPECT_EQ(downs, ups);
 }

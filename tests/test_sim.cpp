@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <regex>
 #include <set>
@@ -17,6 +19,7 @@
 #include "sim/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
+#include "util/rng.hpp"
 
 namespace iotml::sim {
 namespace {
@@ -93,6 +96,137 @@ TEST(Scheduler, EventKindNames) {
   EXPECT_EQ(event_kind_name(EventKind::kArrival), "arrival");
   EXPECT_EQ(event_kind_name(EventKind::kLinkUp), "link-up");
   EXPECT_STREQ(event_span_name(EventKind::kLinkUp), "sim.event:link-up");
+}
+
+void expect_same_event(const Event& got, const Event& want, std::size_t step) {
+  EXPECT_EQ(got.time_s, want.time_s) << step;
+  EXPECT_EQ(got.seq, want.seq) << step;
+  EXPECT_EQ(got.kind, want.kind) << step;
+  EXPECT_EQ(got.target, want.target) << step;
+  EXPECT_EQ(got.message, want.message) << step;
+}
+
+// push_series must schedule exactly what its loop of push() calls would:
+// seeded scripts mix series (off-grid periods whose sums round, empty
+// series, times that tie with other events) with one-off pushes, some
+// issued between pops as handlers issue them, and the reference scheduler
+// expands every series into individual pushes.
+TEST(Scheduler, SeriesPopsLikeIndividualPushes) {
+  const double periods[] = {0.1, 0.3, 1.1, 1.0 / 3.0, 0.7, 0.25, 0.5};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Scheduler series;
+    Scheduler reference;
+    // Event times: often one a series steps on, or on a quarter-second grid
+    // from now, so events tie with series events; otherwise anywhere ahead.
+    std::vector<double> series_times;
+    auto next_time = [&] {
+      const double now_s = series.now_s();
+      const double roll = rng.uniform();
+      if (roll < 0.3 && !series_times.empty()) {
+        const double t = series_times[rng.index(series_times.size())];
+        if (t >= now_s) return t;
+      }
+      return now_s + (roll < 0.65 ? 0.25 * rng.uniform_int(0, 12) : rng.uniform(0.0, 3.0));
+    };
+    std::size_t step = 0;
+    for (int op = 0; op < 120; ++op, ++step) {
+      const auto kind = static_cast<EventKind>(rng.uniform_int(0, 31));
+      const std::size_t target = rng.index(5000);
+      const double roll = rng.uniform();
+      if (roll < 0.25) {
+        const double time_s = next_time();
+        const std::size_t message = rng.bernoulli(0.5) ? rng.index(100) : kNoMessage;
+        series.push(time_s, kind, target, message);
+        reference.push(time_s, kind, target, message);
+      } else if (roll < 0.5) {
+        const double first_s = next_time();
+        const double period_s = rng.bernoulli(0.8) ? periods[rng.index(std::size(periods))]
+                                                   : rng.uniform(0.05, 2.0);
+        // About one series in six is empty.
+        const double until_s = first_s + rng.uniform(-1.5, 8.0);
+        series.push_series(first_s, period_s, until_s, kind, target);
+        for (double t = first_s; t < until_s; t += period_s) {
+          reference.push(t, kind, target);
+          series_times.push_back(t);
+        }
+      } else if (!reference.empty()) {
+        ASSERT_FALSE(series.empty()) << step;
+        expect_same_event(series.pop(), reference.pop(), step);
+        EXPECT_EQ(series.now_s(), reference.now_s()) << step;
+        EXPECT_EQ(series.processed(), reference.processed()) << step;
+      }
+      EXPECT_LE(series.pending(), reference.pending()) << step;
+    }
+    while (!reference.empty()) {
+      ASSERT_FALSE(series.empty()) << step;
+      expect_same_event(series.pop(), reference.pop(), step++);
+      EXPECT_EQ(series.now_s(), reference.now_s()) << step;
+    }
+    EXPECT_TRUE(series.empty()) << seed;
+    EXPECT_EQ(series.processed(), reference.processed()) << seed;
+    EXPECT_EQ(series.log(), reference.log()) << seed;
+    std::ostringstream got;
+    std::ostringstream want;
+    series.write_log(got);
+    reference.write_log(want);
+    EXPECT_EQ(got.str(), want.str()) << seed;
+  }
+}
+
+TEST(Scheduler, SeriesQueuesOneEntry) {
+  Scheduler s;
+  s.push_series(0.0, 1.0, 100000.0, EventKind::kDeviceFlush, 7);
+  EXPECT_EQ(s.pending(), 1u);
+  s.push(0.5, EventKind::kArrival, 3);  // its seq follows the series' block
+  EXPECT_EQ(s.pending(), 2u);
+  expect_same_event(s.pop(), {0.0, 0, EventKind::kDeviceFlush, 7, kNoMessage}, 0);
+  EXPECT_EQ(s.pending(), 2u);
+  expect_same_event(s.pop(), {0.5, 100000, EventKind::kArrival, 3, kNoMessage}, 1);
+  for (std::uint64_t k = 1; k < 100000; ++k) {
+    const std::size_t pending = s.pending();
+    const Event e = s.pop();
+    if (pending != 1 || e.seq != k || e.time_s != static_cast<double>(k)) {
+      FAIL() << "event " << k << " popped as #" << e.seq << " at " << e.time_s << " from "
+             << pending << " queued entries";
+    }
+  }
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.processed(), 100001u);
+}
+
+TEST(Scheduler, RejectsBadSeriesAndWideTargets) {
+  Scheduler s;
+  s.push(2.0, EventKind::kEdgeFlush, 0);
+  s.pop();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t wide = Scheduler::kMaxTarget + 1;
+  const EventKind kind = EventKind::kCheckpoint;
+  EXPECT_THROW(s.push_series(1.5, 1.0, 10.0, kind, 0), InvalidArgument);  // starts in the past
+  EXPECT_THROW(s.push_series(nan, 1.0, 10.0, kind, 0), InvalidArgument);
+  EXPECT_THROW(s.push_series(3.0, 1.0, inf, kind, 0), InvalidArgument);
+  EXPECT_THROW(s.push_series(3.0, 1.0, nan, kind, 0), InvalidArgument);
+  for (const double period : {0.0, -1.0, inf, nan}) {
+    EXPECT_THROW(s.push_series(3.0, period, 10.0, kind, 0), InvalidArgument) << period;
+  }
+  // 1e17 + 1 rounds back to 1e17: the series would never end.
+  EXPECT_THROW(s.push_series(1e17, 1.0, 2e17, kind, 0), InvalidArgument);
+  EXPECT_THROW(s.push_series(3.0, 1.0, 10.0, kind, wide), InvalidArgument);
+  EXPECT_THROW(s.push(3.0, kind, wide), InvalidArgument);
+  EXPECT_THROW(s.push(3.0, kind, wide, 4), InvalidArgument);
+  // Nothing was queued and no seq was taken.
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.pending(), 0u);
+  s.push_series(2.0, 1.0, 3.5, kind, Scheduler::kMaxTarget);
+  s.pop();
+  s.pop();
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.log(), (std::vector<std::string>{
+                         "t=2.000000 #0 edge-flush target=0",
+                         "t=2.000000 #1 checkpoint target=4294967295",
+                         "t=3.000000 #2 checkpoint target=4294967295",
+                     }));
 }
 
 // ---- Tier placement ----------------------------------------------------------
@@ -487,6 +621,22 @@ TEST(Fleet, Validation) {
   FleetConfig deaf = small_config();
   deaf.sensor_dropout = 1.0;
   expect_own_message(deaf, "FleetSim: sensor dropout outside [0, 1)");
+
+  // Infinite times are rejected before sensing or scheduling sees them.
+  const double inf = std::numeric_limits<double>::infinity();
+  FleetConfig endless = small_config();
+  endless.duration_s = inf;
+  expect_own_message(endless, "FleetSim: duration must be positive and finite");
+  FleetConfig device_never = small_config();
+  device_never.device_flush_s = inf;
+  expect_own_message(device_never, "FleetSim: flush intervals must be positive and finite");
+  FleetConfig edge_never = small_config();
+  edge_never.edge_flush_s = inf;
+  expect_own_message(edge_never, "FleetSim: flush intervals must be positive and finite");
+  FleetConfig never_saved = small_config();
+  never_saved.checkpoint_interval_s = inf;
+  expect_own_message(never_saved,
+                     "FleetSim: checkpoint interval must be finite and non-negative");
 }
 
 // A device whose three sensors drop every reading keeps an empty window and
@@ -909,6 +1059,25 @@ std::vector<GridCase> digest_grid() {
     grid.push_back({"ota-stuck-churn-ff", c, [](const FleetReport& r) {
                       return r.faults.core_crashes > 0 && r.deploy.ota.full_fallbacks > 0 &&
                              r.deploy.ota.devices_stuck > 0;
+                    }});
+  }
+  {
+    // Periodic schedules whose running sums round and do not divide the
+    // run: device flushes every 0.3 s and checkpoints every 1.1 s over
+    // 7.3 s. The edge period exceeds the run, so edges flush only at the
+    // drain. Churn and a load storm interleave one-off events with them.
+    FleetConfig c = grid_fleet(110, true);
+    c.duration_s = 7.3;
+    c.device_flush_s = 0.3;
+    c.edge_flush_s = 8.0;
+    c.checkpoint_interval_s = 1.1;
+    grid_ack(c);
+    c.faults.device_churns = 2.0;
+    c.faults.device_offtime_mean_s = 2.0;
+    c.chaos.load_storms = 1.0;
+    c.chaos.load_storm_mean_s = 3.0;
+    grid.push_back({"series-offgrid", c, [](const FleetReport& r) {
+                      return r.faults.checkpoints_written > 0 && r.faults.load_storms > 0;
                     }});
   }
   return grid;
