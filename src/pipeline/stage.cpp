@@ -21,60 +21,25 @@ Tier tier_from_name(std::string_view name) {
   throw InvalidArgument("tier_from_name: unknown tier '" + std::string(name) + "'");
 }
 
-LambdaStage::LambdaStage(std::string name, Fn fn, std::string player, Tier tier)
-    : name_(std::move(name)), fn_(std::move(fn)), player_(std::move(player)), tier_(tier) {
-  IOTML_CHECK(fn_ != nullptr, "LambdaStage: null function");
-  IOTML_CHECK(!name_.empty(), "LambdaStage: empty name");
-}
-
-StageReport LambdaStage::apply(data::Dataset& ds, Rng& rng) {
-  StageReport report;
-  report.stage_name = name_;
-  report.player = player_;
-  report.tier = tier_;
-  report.rows_in = ds.rows();
-  report.missing_rate_in = ds.missing_rate();
-  const std::int64_t start_us = obs::now_us();
-  report.cost = fn_(ds, rng);
-  // det-sanctioned: wall_time_us feeds obs spans only; deterministic artifacts never serialize it
-  report.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-  report.rows_out = ds.rows();
-  report.columns_out = ds.num_columns();
-  report.missing_rate_out = ds.missing_rate();
-  return report;
-}
-
-Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
-  IOTML_CHECK(stage != nullptr, "Pipeline::add: null stage");
-  stages_.push_back(std::move(stage));
+Pipeline& Pipeline::add(std::string name, Stage::Fn fn, std::string player, Tier tier) {
+  IOTML_CHECK(!name.empty(), "Pipeline::add: empty name");
+  IOTML_CHECK(fn != nullptr, "Pipeline::add: null function");
+  stages_.push_back({std::move(name), std::move(fn), std::move(player), tier});
   return *this;
-}
-
-Pipeline& Pipeline::add(std::string name, LambdaStage::Fn fn, std::string player,
-                        Tier tier) {
-  return add(std::make_unique<LambdaStage>(std::move(name), std::move(fn),
-                                           std::move(player), tier));
 }
 
 data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
   reports_.clear();
   obs::Span run_span("pipeline.run", "pipeline");
-  for (const auto& stage : stages_) {
+  for (const Stage& stage : stages_) {
     // A fleet runs its device tier once per device flush, so the span's name
     // and arguments are built only when tracing is on, and the instruments
     // are looked up once.
     obs::Span span(obs::trace(),
-                   obs::trace().enabled() ? "stage:" + stage->name() : std::string(),
+                   obs::trace().enabled() ? "stage:" + stage.name : std::string(),
                    "pipeline");
-    const std::int64_t start_us = obs::now_us();
-    StageReport report = stage->apply(input, rng);
-    // Concrete iotml stages self-measure their body; keep that tighter
-    // reading and only fall back to the around-the-call measurement for
-    // third-party stages that left the field 0.
-    if (report.wall_time_us == 0) {
-      // det-sanctioned: wall_time_us feeds obs spans only; deterministic artifacts omit it
-      report.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-    }
+    StageReport report = run_stage(stage.name, stage.player, stage.tier, input,
+                                   [&] { return stage.fn(input, rng); });
     if (span.active()) {
       span.arg("player", report.player);
       span.arg("tier", tier_name(report.tier));
@@ -96,9 +61,9 @@ data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
   return input;
 }
 
-std::vector<std::unique_ptr<Stage>> Pipeline::take_stages() {
+std::vector<Stage> Pipeline::take_stages() {
   reports_.clear();
-  std::vector<std::unique_ptr<Stage>> out = std::move(stages_);
+  std::vector<Stage> out = std::move(stages_);
   stages_.clear();
   return out;
 }

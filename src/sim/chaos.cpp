@@ -9,26 +9,62 @@ namespace iotml::sim {
 
 namespace {
 
-/// Sample alternating start/end pairs for one fleet-wide scenario over
-/// [0, duration_s). Mirrors net::make_fault_plan's outage sampler so the
-/// two plans share statistics and determinism discipline.
+/// Mean length of a core outage, in seconds.
+constexpr double kCoreDowntimeMeanS = 5.0;
+
+/// Sample alternating start/end pairs for one entity over [0, duration_s).
 void sample_windows(std::vector<ChaosEvent>& plan, double expected_windows,
                     double mean_window_s, double duration_s, EventKind start,
-                    EventKind end, Rng& rng) {
+                    EventKind end, std::size_t target, Rng& rng) {
   if (expected_windows <= 0.0 || mean_window_s <= 0.0) return;
   const double arrival_rate = expected_windows / duration_s;
   double t = rng.exponential(arrival_rate);
   while (t < duration_s) {
     const double window_s = rng.exponential(1.0 / mean_window_s);
-    plan.push_back({t, start, 0});
+    plan.push_back({t, start, target});
     // The end event may land past the window end; the scheduler still
     // processes it, which keeps every start paired with an end.
-    plan.push_back({t + window_s, end, 0});
+    plan.push_back({t + window_s, end, target});
     t += window_s + rng.exponential(arrival_rate);
   }
 }
 
+/// Stable (time, kind, target) order, so a plan is a pure function of its draws.
+std::vector<ChaosEvent> sorted(std::vector<ChaosEvent> plan) {
+  std::stable_sort(plan.begin(), plan.end(), [](const ChaosEvent& a, const ChaosEvent& b) {
+    return std::tie(a.time_s, a.kind, a.target) < std::tie(b.time_s, b.kind, b.target);
+  });
+  return plan;
+}
+
 }  // namespace
+
+std::vector<ChaosEvent> make_fault_plan(const net::Topology& topo, const FaultParams& params,
+                                        double duration_s, Rng& rng) {
+  IOTML_CHECK(duration_s > 0.0, "make_fault_plan: duration must be positive");
+  IOTML_CHECK(params.link_outages >= 0.0 && params.device_churns >= 0.0 &&
+                  params.edge_crashes >= 0.0 && params.core_crashes >= 0.0,
+              "make_fault_plan: negative fault rate");
+  IOTML_CHECK(params.link_outage_mean_s >= 0.0 && params.device_offtime_mean_s >= 0.0 &&
+                  params.edge_downtime_mean_s >= 0.0,
+              "make_fault_plan: negative outage duration");
+  std::vector<ChaosEvent> plan;
+  for (std::size_t l = 0; l < topo.num_links(); ++l) {
+    sample_windows(plan, params.link_outages, params.link_outage_mean_s, duration_s,
+                   EventKind::kLinkDown, EventKind::kLinkUp, l, rng);
+  }
+  for (std::size_t d = 0; d < topo.num_devices(); ++d) {
+    sample_windows(plan, params.device_churns, params.device_offtime_mean_s, duration_s,
+                   EventKind::kDeviceDown, EventKind::kDeviceUp, topo.device(d), rng);
+  }
+  for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+    sample_windows(plan, params.edge_crashes, params.edge_downtime_mean_s, duration_s,
+                   EventKind::kEdgeCrash, EventKind::kEdgeRestart, e, rng);
+  }
+  sample_windows(plan, params.core_crashes, kCoreDowntimeMeanS, duration_s,
+                 EventKind::kCoreCrash, EventKind::kCoreRestart, 0, rng);
+  return sorted(std::move(plan));
+}
 
 std::vector<ChaosEvent> make_chaos_plan(const ChaosParams& params, double duration_s,
                                         Rng& rng) {
@@ -53,19 +89,16 @@ std::vector<ChaosEvent> make_chaos_plan(const ChaosParams& params, double durati
               "make_chaos_plan: load_storm_factor must exceed 1");
   std::vector<ChaosEvent> plan;
   sample_windows(plan, params.partitions, params.partition_mean_s, duration_s,
-                 EventKind::kPartitionStart, EventKind::kPartitionEnd, rng);
+                 EventKind::kPartitionStart, EventKind::kPartitionEnd, 0, rng);
   sample_windows(plan, params.loss_bursts, params.burst_mean_s, duration_s,
-                 EventKind::kLossBurstStart, EventKind::kLossBurstEnd, rng);
+                 EventKind::kLossBurstStart, EventKind::kLossBurstEnd, 0, rng);
   sample_windows(plan, params.corruption_storms, params.storm_mean_s, duration_s,
-                 EventKind::kCorruptionStart, EventKind::kCorruptionEnd, rng);
+                 EventKind::kCorruptionStart, EventKind::kCorruptionEnd, 0, rng);
   // Load storms sample strictly after every legacy scenario so plans with
   // load_storms == 0 replay the historical draw sequence byte-for-byte.
   sample_windows(plan, params.load_storms, params.load_storm_mean_s, duration_s,
-                 EventKind::kLoadStormStart, EventKind::kLoadStormEnd, rng);
-  std::stable_sort(plan.begin(), plan.end(), [](const ChaosEvent& a, const ChaosEvent& b) {
-    return std::tie(a.time_s, a.kind, a.target) < std::tie(b.time_s, b.kind, b.target);
-  });
-  return plan;
+                 EventKind::kLoadStormStart, EventKind::kLoadStormEnd, 0, rng);
+  return sorted(std::move(plan));
 }
 
 }  // namespace iotml::sim

@@ -3,26 +3,51 @@
 #include <cstddef>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace iotml::sim {
 
-/// One scheduled chaos transition: a compound scenario layered on top of
-/// the base net::FaultPlan. `kind` is one of the eight chaos EventKinds
-/// (kPartitionStart/End, kLossBurstStart/End, kCorruptionStart/End,
-/// kLoadStormStart/End), and every *Start is paired with its *End.
-/// Magnitudes (burst drop probability, storm corruption probability) live in
-/// ChaosParams, so an event stays a plain (time, kind, target) triple.
-/// Fleet-wide scenarios leave `target` 0.
+/// One scheduled fault or chaos transition, a plain (time, kind, target)
+/// triple FleetSim pushes as is. Every down/crash/*Start is paired with its
+/// up/restart/*End. `target` is a link index for link faults, a node id for
+/// device churn, an edge index for edge crashes and 0 for the core and for
+/// fleet-wide chaos scenarios. Magnitudes (burst drop probability, storm
+/// corruption probability) live in ChaosParams.
 struct ChaosEvent {
   double time_s = 0.0;
   EventKind kind = EventKind::kPartitionStart;
   std::size_t target = 0;
 };
 
+/// Intensity of the injected faults, expressed per entity over the whole
+/// simulated window so the same params mean the same stress at any duration.
+/// Churn (device down/up) silences a node but keeps its memory; a crash
+/// (edge/core) additionally wipes volatile state — an edge restart recovers
+/// only what its last checkpoint persisted (see DESIGN.md §11).
+struct FaultParams {
+  double link_outages = 0.0;          ///< expected outages per link
+  double link_outage_mean_s = 5.0;    ///< mean outage length (exponential)
+  double device_churns = 0.0;         ///< expected offline periods per device
+  double device_offtime_mean_s = 10.0;
+  double edge_crashes = 0.0;          ///< expected crash-restart cycles per edge
+  double edge_downtime_mean_s = 5.0;
+  double core_crashes = 0.0;          ///< expected crash-restart cycles of the core
+};
+
+/// Sample a reproducible fault plan over [0, duration_s): per link, device,
+/// edge and the core, kLinkDown/Up, kDeviceDown/Up, kEdgeCrash/Restart and
+/// kCoreCrash/Restart pairs with exponential inter-arrival times and
+/// exponential outage lengths (a fixed 5 s mean for the core). Sorted by
+/// (time, kind, target). Throws InvalidArgument unless duration_s > 0 and
+/// the rates and mean durations are non-negative (a zero rate simply
+/// injects nothing).
+std::vector<ChaosEvent> make_fault_plan(const net::Topology& topo, const FaultParams& params,
+                                        double duration_s, Rng& rng);
+
 /// Intensity of the compound scenarios, expressed as expected occurrences
-/// over the whole window (like net::FaultParams). Crash scenarios live in
+/// over the whole window (like FaultParams). Crash scenarios live in
 /// FaultParams (kEdgeCrash/kCoreCrash); ChaosParams adds the scenarios that
 /// mutate link behaviour rather than node liveness, plus the one timed
 /// scenario the plan cannot know in advance: a crash during the deploy
@@ -48,13 +73,13 @@ struct ChaosParams {
   }
 };
 
-/// Sample a reproducible chaos plan over [0, duration_s): exponential
-/// inter-arrival times per scenario, exponential scenario lengths, every
-/// start paired with its end, sorted by (time, kind, target). Layered on
-/// the base fault plan — FleetSim schedules both streams into the same
-/// event queue. Throws InvalidArgument unless duration_s > 0, the rates
-/// and mean durations are non-negative and the burst/storm probabilities
-/// lie in [0, 1].
+/// Sample a reproducible chaos plan over [0, duration_s) with the fault
+/// plan's sampler: exponential inter-arrival times per scenario, exponential
+/// scenario lengths, every start paired with its end, sorted by (time, kind,
+/// target). FleetSim pushes it after the fault plan, into the same event
+/// queue. Throws InvalidArgument unless duration_s > 0, the rates and mean
+/// durations are non-negative and the burst/storm probabilities lie in
+/// [0, 1].
 std::vector<ChaosEvent> make_chaos_plan(const ChaosParams& params, double duration_s,
                                         Rng& rng);
 

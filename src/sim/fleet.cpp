@@ -333,24 +333,11 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
 
   generate_device_data();
 
-  const std::vector<net::Fault> plan =
-      net::make_fault_plan(topo_, config.faults, config.duration_s, fault_rng);
+  const std::vector<ChaosEvent> faults =
+      make_fault_plan(topo_, config.faults, config.duration_s, fault_rng);
   schedule_initial_events();
-  for (const net::Fault& f : plan) {
-    EventKind kind = EventKind::kLinkDown;
-    switch (f.kind) {
-      case net::FaultKind::kLinkDown: kind = EventKind::kLinkDown; break;
-      case net::FaultKind::kLinkUp: kind = EventKind::kLinkUp; break;
-      case net::FaultKind::kDeviceDown: kind = EventKind::kDeviceDown; break;
-      case net::FaultKind::kDeviceUp: kind = EventKind::kDeviceUp; break;
-      case net::FaultKind::kEdgeCrash: kind = EventKind::kEdgeCrash; break;
-      case net::FaultKind::kEdgeRestart: kind = EventKind::kEdgeRestart; break;
-      case net::FaultKind::kCoreCrash: kind = EventKind::kCoreCrash; break;
-      case net::FaultKind::kCoreRestart: kind = EventKind::kCoreRestart; break;
-    }
-    sched_.push(f.time_s, kind, f.target);
-  }
-
+  // The fault plan, then the chaos plan: each push takes the next seq.
+  for (const ChaosEvent& f : faults) sched_.push(f.time_s, f.kind, f.target);
   for (const ChaosEvent& c : make_chaos_plan(config.chaos, config.duration_s, chaos_rng_)) {
     sched_.push(c.time_s, c.kind, c.target);
   }
@@ -411,38 +398,28 @@ void FleetSim::generate_device_data() {
 
   // Integration allocates each window, so it runs here, in device order.
   for (std::size_t d = 0; d < devices; ++d) {
-    const std::int64_t start_us = obs::now_us();
     std::size_t readings = 0;
     for (const pipeline::SensorStream& s : streams[d]) readings += s.readings.size();
-    pipeline::IntegrationResult integ;
-    if (readings > 0) {
-      integ = pipeline::integrate_streams(
-          streams[d], {.merge_tolerance_s = 0.45 * config_.sensor_period_s});
-    } else {
-      // Every sensor dropped every reading: the device keeps an empty window
-      // with the usual columns and simply never has rows to flush.
-      integ.records.add_numeric_column("timestamp");
-      for (const pipeline::SensorStream& s : streams[d]) {
-        integ.records.add_numeric_column(s.sensor_name);
+    data::Dataset& window = device_data_[d];
+    StageReport acq = pipeline::run_stage("acquisition", "device", Tier::kDevice, window, [&] {
+      if (readings > 0) {
+        window = pipeline::integrate_streams(
+                     streams[d], {.merge_tolerance_s = 0.45 * config_.sensor_period_s})
+                     .records;
+      } else {
+        // Every sensor dropped every reading: the device keeps an empty
+        // window with the usual columns and never has rows to flush.
+        window.add_numeric_column("timestamp");
+        for (const pipeline::SensorStream& s : streams[d]) window.add_numeric_column(s.sensor_name);
       }
-    }
-    streams[d].clear();  // frees the readings: the next window reuses that memory
-    report_.rows_generated += integ.records.rows();
-
-    StageReport acq;
-    acq.stage_name = "acquisition";
-    acq.player = "device";
-    acq.tier = Tier::kDevice;
+      streams[d].clear();  // frees the readings: the next window reuses that memory
+      return 0.05 + 0.01 * static_cast<double>(readings);
+    });
     acq.rows_in = readings;
-    acq.rows_out = integ.records.rows();
-    acq.columns_out = integ.records.num_columns();
-    acq.missing_rate_out = integ.records.missing_rate();
-    acq.cost = 0.05 + 0.01 * static_cast<double>(readings);
     // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-    acq.wall_time_us = static_cast<std::uint64_t>(simulate_us[d] + obs::now_us() - start_us);
-    report_.stage_reports.push_back(std::move(acq));
-
-    device_data_[d] = std::move(integ.records);
+    acq.wall_time_us += static_cast<std::uint64_t>(simulate_us[d]);
+    report_.rows_generated += window.rows();
+    report_.stage_reports.push_back(acq);
   }
 }
 
@@ -785,22 +762,12 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
 
   // Integration: merge the per-device chunks into one time-ordered record
   // stream (the §IV "ordered list of time-stamps" step, here across devices).
-  const std::int64_t start_us = obs::now_us();
-  data::Dataset merged = time_ordered(buf.rows);
-
-  StageReport integ;
-  integ.stage_name = "integration";
-  integ.player = "edge-operator";
-  integ.tier = Tier::kEdge;
-  integ.rows_in = buf.rows.rows();
-  integ.rows_out = merged.rows();
-  integ.columns_out = merged.num_columns();
-  integ.missing_rate_in = merged.missing_rate();
-  integ.missing_rate_out = merged.missing_rate();
-  integ.cost = 0.2 + 0.001 * static_cast<double>(merged.rows());
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  integ.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-  report_.stage_reports.push_back(std::move(integ));
+  data::Dataset merged = std::move(buf.rows);
+  report_.stage_reports.push_back(
+      pipeline::run_stage("integration", "edge-operator", Tier::kEdge, merged, [&] {
+        merged = time_ordered(merged);
+        return 0.2 + 0.001 * static_cast<double>(merged.rows());
+      }));
 
   merged = tiers_.edge.run(std::move(merged), edge_rngs_[edge_index]);
   for (const StageReport& r : tiers_.edge.reports()) {
@@ -960,73 +927,63 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
     }
   }
 
-  const std::int64_t start_us = obs::now_us();
-  const std::vector<std::size_t> keep =
-      approx::stratified_indices(live, kSampleRate, degrade_rng_);
+  auto sample = [&] {
+    const std::vector<std::size_t> keep =
+        approx::stratified_indices(live, kSampleRate, degrade_rng_);
 
-  // The bounded-error contract: the realized error of the sampled window
-  // mean (first measured quantity) against the exact full-window answer,
-  // which the simulator can still compute out of band. The per-stratum
-  // sampler rounds draws up, so small strata carry higher sampling
-  // fractions; the self-weighted stratified estimator keeps that from
-  // biasing the window mean (a pooled mean over `keep` would drift high).
-  std::size_t exact_n = 0;
-  const double exact = column_mean(col, population, exact_n);
-  std::vector<approx::StratumSample> samples(strata.size());
-  for (std::size_t i = 0; i < strata.size(); ++i) {
-    samples[i].population = live[i].size();
-  }
-  std::size_t cursor = 0;
-  for (std::size_t r : keep) {
-    while (cursor + 1 < strata.size() &&
-           r >= strata[cursor].begin + strata[cursor].count) {
-      ++cursor;
+    // The bounded-error contract: the realized error of the sampled window
+    // mean (first measured quantity) against the exact full-window answer,
+    // which the simulator can still compute out of band. The per-stratum
+    // sampler rounds draws up, so small strata carry higher sampling
+    // fractions; the self-weighted stratified estimator keeps that from
+    // biasing the window mean (a pooled mean over `keep` would drift high).
+    std::size_t exact_n = 0;
+    const double exact = column_mean(col, population, exact_n);
+    std::vector<approx::StratumSample> samples(strata.size());
+    for (std::size_t i = 0; i < strata.size(); ++i) {
+      samples[i].population = live[i].size();
     }
-    samples[cursor].values.push_back(col.numeric(r));
-  }
-  const approx::Interval ci = approx::stratified_mean_interval(samples);
-  const bool covered = exact_n == 0 || ci.covers(exact);
+    std::size_t cursor = 0;
+    for (std::size_t r : keep) {
+      while (cursor + 1 < strata.size() &&
+             r >= strata[cursor].begin + strata[cursor].count) {
+        ++cursor;
+      }
+      samples[cursor].values.push_back(col.numeric(r));
+    }
+    const approx::Interval ci = approx::stratified_mean_interval(samples);
+    const bool covered = exact_n == 0 || ci.covers(exact);
 
-  ++d.windows_sampled;
-  d.rows_approx += population;
-  d.rows_sampled_out += population - keep.size();
-  ++d.ci_windows;
-  if (covered) ++d.ci_covered;
-  d.ci_half_width_sum += ci.half_width;
-  const double err = std::abs(ci.estimate - exact);
-  d.abs_error_sum += err;
-  d.max_abs_error = std::max(d.max_abs_error, err);
-  if (d.windows.size() < kMaxWindowEstimates) {
-    d.windows.push_back({edge_index, now_s, 1, population, keep.size(),
-                         ci.estimate, ci.half_width, exact, covered});
-  } else {
-    ++d.windows_truncated;
-  }
+    ++d.windows_sampled;
+    d.rows_approx += population;
+    d.rows_sampled_out += population - keep.size();
+    ++d.ci_windows;
+    if (covered) ++d.ci_covered;
+    d.ci_half_width_sum += ci.half_width;
+    const double err = std::abs(ci.estimate - exact);
+    d.abs_error_sum += err;
+    d.max_abs_error = std::max(d.max_abs_error, err);
+    if (d.windows.size() < kMaxWindowEstimates) {
+      d.windows.push_back({edge_index, now_s, 1, population, keep.size(),
+                           ci.estimate, ci.half_width, exact, covered});
+    } else {
+      ++d.windows_truncated;
+    }
 
-  StageReport st;
-  st.stage_name = "degrade(sample)";
-  st.player = "edge-operator";
-  st.tier = Tier::kEdge;
-  st.rows_in = population;
-  st.rows_out = keep.size();
-  st.columns_out = buf.rows.num_columns();
-  st.missing_rate_in = buf.rows.missing_rate();
-  st.cost = 0.05 + 0.0002 * static_cast<double>(population);
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  st.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-
-  Buffer kept;
-  kept.rows = buf.rows.select_rows(keep);
-  kept.origin_s = std::move(buf.origin_s);
-  kept.parents = std::move(buf.parents);
-  buf = std::move(kept);  // the sampled window is one run now; strata reset
-  st.missing_rate_out = buf.rows.missing_rate();
-  report_.stage_reports.push_back(std::move(st));
+    Buffer kept;
+    kept.rows = buf.rows.select_rows(keep);
+    kept.origin_s = std::move(buf.origin_s);
+    kept.parents = std::move(buf.parents);
+    buf = std::move(kept);  // the sampled window is one run now; strata reset
+    return 0.05 + 0.0002 * static_cast<double>(population);
+  };
+  report_.stage_reports.push_back(
+      pipeline::run_stage("degrade(sample)", "edge-operator", Tier::kEdge, buf.rows, sample));
 
   const net::NodeId e = topo_.edge(edge_index);
   if (obsy_) {
-    obsy_->flight().note(e, now_s, "degrade-sample", population, keep.size());
-    record_series(NodeSeries::kSampledRows, e, now_s, static_cast<double>(keep.size()));
+    obsy_->flight().note(e, now_s, "degrade-sample", population, buf.rows.rows());
+    record_series(NodeSeries::kSampledRows, e, now_s, static_cast<double>(buf.rows.rows()));
   }
 }
 
@@ -1036,77 +993,75 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
   const std::size_t population = buf.rows.rows();
   const net::NodeId e = topo_.edge(edge_index);
   auto& d = report_.degradation;
-  const std::int64_t start_us = obs::now_us();
 
   // Count + level + window stamp ride in every summary.
   std::size_t wire_bytes = net::kMessageHeaderBytes + 24;
+  // The summary replaces the window: its rows leave `buf` inside the stage,
+  // so the report reads 0 rows, columns and missing rate out, and are freed
+  // with `shed` when the flush ends. Freeing them before the summary's send
+  // raised perfbench fleet-wire's peak RSS by about 0.25 MB (seed 1, 4-vCPU
+  // host).
+  data::Dataset shed;
+  auto summarize = [&] {
+    double cost = 0.0;
+    if (level == 2) {
+      // L2 sketch-only reduce: the window collapses to a count-min tally of
+      // rows per sender plus a bottom-k quantile sample of the first measured
+      // quantity. Both are mergeable and byte-stable, so the core could fold
+      // summaries from many edges in any order; the retained sample doubles
+      // as the CI input.
+      approx::CountMinSketch tally(kCountMinWidth, kCountMinDepth, config_.seed);
+      std::size_t tiled = 0;
+      for (const approx::Stratum& s : buf.strata) tiled += s.count;
+      if (!buf.strata.empty() && tiled == population) {
+        for (const approx::Stratum& s : buf.strata) tally.add(s.key, s.count);
+      } else {
+        tally.add(e, population);
+      }
+      approx::QuantileSketch quant(kSketchCapacity, config_.seed);
+      const data::Column& col = buf.rows.column(1);
+      const std::uint64_t key_base = static_cast<std::uint64_t>(e) << 32;
+      for (std::size_t r = 0; r < population; ++r) {
+        if (col.is_missing(r)) continue;
+        quant.add(key_base | static_cast<std::uint64_t>(r), col.numeric(r));
+      }
 
-  StageReport st;
-  st.player = "edge-operator";
-  st.tier = Tier::kEdge;
-  st.rows_in = population;
-  st.rows_out = 0;
-  st.columns_out = 0;
-  st.missing_rate_in = buf.rows.missing_rate();
+      std::size_t exact_n = 0;
+      const double exact = column_mean(col, population, exact_n);
+      const approx::Interval ci =
+          approx::mean_interval(quant.sample_values(), exact_n);
+      const bool covered = exact_n == 0 || ci.covers(exact);
+      ++d.ci_windows;
+      if (covered) ++d.ci_covered;
+      d.ci_half_width_sum += ci.half_width;
+      const double err = std::abs(ci.estimate - exact);
+      d.abs_error_sum += err;
+      d.max_abs_error = std::max(d.max_abs_error, err);
+      if (d.windows.size() < kMaxWindowEstimates) {
+        d.windows.push_back({edge_index, now_s, 2, population, quant.retained(),
+                             ci.estimate, ci.half_width, exact, covered});
+      } else {
+        ++d.windows_truncated;
+      }
 
-  if (level == 2) {
-    // L2 sketch-only reduce: the window collapses to a count-min tally of
-    // rows per sender plus a bottom-k quantile sample of the first measured
-    // quantity. Both are mergeable and byte-stable, so the core could fold
-    // summaries from many edges in any order; the retained sample doubles
-    // as the CI input.
-    approx::CountMinSketch tally(kCountMinWidth, kCountMinDepth, config_.seed);
-    std::size_t tiled = 0;
-    for (const approx::Stratum& s : buf.strata) tiled += s.count;
-    if (!buf.strata.empty() && tiled == population) {
-      for (const approx::Stratum& s : buf.strata) tally.add(s.key, s.count);
+      wire_bytes += tally.encode().size() + quant.encode().size();
+      ++d.windows_sketch;
+      cost = kSketchCostBase + kSketchCostPerRow * static_cast<double>(population);
     } else {
-      tally.add(e, population);
+      // L3 summary-only: the edge reports a bare row count and sheds the
+      // window; fresh deploy artifacts also stop relaying through it (see
+      // handle_artifact_arrival).
+      ++d.windows_summary;
+      cost = 0.01;
     }
-    approx::QuantileSketch quant(kSketchCapacity, config_.seed);
-    const data::Column& col = buf.rows.column(1);
-    const std::uint64_t key_base = static_cast<std::uint64_t>(e) << 32;
-    for (std::size_t r = 0; r < population; ++r) {
-      if (col.is_missing(r)) continue;
-      quant.add(key_base | static_cast<std::uint64_t>(r), col.numeric(r));
-    }
-
-    std::size_t exact_n = 0;
-    const double exact = column_mean(col, population, exact_n);
-    const approx::Interval ci =
-        approx::mean_interval(quant.sample_values(), exact_n);
-    const bool covered = exact_n == 0 || ci.covers(exact);
-    ++d.ci_windows;
-    if (covered) ++d.ci_covered;
-    d.ci_half_width_sum += ci.half_width;
-    const double err = std::abs(ci.estimate - exact);
-    d.abs_error_sum += err;
-    d.max_abs_error = std::max(d.max_abs_error, err);
-    if (d.windows.size() < kMaxWindowEstimates) {
-      d.windows.push_back({edge_index, now_s, 2, population, quant.retained(),
-                           ci.estimate, ci.half_width, exact, covered});
-    } else {
-      ++d.windows_truncated;
-    }
-
-    wire_bytes += tally.encode().size() + quant.encode().size();
-    ++d.windows_sketch;
-    st.stage_name = "degrade(sketch-reduce)";
-    st.cost = kSketchCostBase + kSketchCostPerRow * static_cast<double>(population);
-  } else {
-    // L3 summary-only: the edge reports a bare row count and sheds the
-    // window; fresh deploy artifacts also stop relaying through it (see
-    // handle_artifact_arrival).
-    ++d.windows_summary;
-    st.stage_name = "degrade(summary-only)";
-    st.cost = 0.01;
-  }
-  d.rows_approx += population;
-  d.rows_sampled_out += population;
-  st.missing_rate_out = 0.0;
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  st.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-  report_.stage_reports.push_back(std::move(st));
+    d.rows_approx += population;
+    d.rows_sampled_out += population;
+    std::swap(shed, buf.rows);
+    return cost;
+  };
+  report_.stage_reports.push_back(pipeline::run_stage(
+      level == 2 ? "degrade(sketch-reduce)" : "degrade(summary-only)", "edge-operator",
+      Tier::kEdge, buf.rows, summarize));
 
   if (obsy_) {
     obsy_->flight().note(e, now_s, "degrade-shed", population,
@@ -1801,28 +1756,19 @@ void FleetSim::finalize() {
   }
   if (core_buffer_.rows.rows() == 0) return;
 
-  const data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
+  data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
   for (const StageReport& r : tiers_.core.reports()) {
     report_.stage_reports.push_back(r);
   }
 
-  const std::int64_t start_us = obs::now_us();
-  const data::Dataset features = sensor_features(ds);
-  std::vector<std::size_t> train_idx;
-  std::vector<std::size_t> test_idx;
-  for (std::size_t i = 0; i < features.rows(); ++i) {
-    (i % 4 == 3 ? test_idx : train_idx).push_back(i);
-  }
-  StageReport analytics;
-  analytics.stage_name = "analytics(decision-tree)";
-  analytics.player = "core-operator";
-  analytics.tier = Tier::kCore;
-  analytics.rows_in = ds.rows();
-  analytics.rows_out = ds.rows();
-  analytics.columns_out = ds.num_columns();
-  analytics.missing_rate_in = ds.missing_rate();
-  analytics.missing_rate_out = ds.missing_rate();
-  if (!train_idx.empty() && !test_idx.empty()) {
+  auto analyze = [&] {
+    const data::Dataset features = sensor_features(ds);
+    std::vector<std::size_t> train_idx;
+    std::vector<std::size_t> test_idx;
+    for (std::size_t i = 0; i < features.rows(); ++i) {
+      (i % 4 == 3 ? test_idx : train_idx).push_back(i);
+    }
+    if (train_idx.empty() || test_idx.empty()) return 0.0;
     const data::Dataset train = features.select_rows(train_idx);
     const data::Dataset test = features.select_rows(test_idx);
     learners::DecisionTree tree;
@@ -1830,15 +1776,14 @@ void FleetSim::finalize() {
     report_.accuracy = tree.accuracy(test);
     report_.train_rows = train.rows();
     report_.test_rows = test.rows();
-    analytics.cost = static_cast<double>(tree.node_count());
     if (config_.deploy.enabled) {
       deploy_train_ = train;
       deploy_test_ = test;
     }
-  }
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  analytics.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-  report_.stage_reports.push_back(std::move(analytics));
+    return static_cast<double>(tree.node_count());
+  };
+  report_.stage_reports.push_back(pipeline::run_stage(
+      "analytics(decision-tree)", "core-operator", Tier::kCore, ds, analyze));
 }
 
 data::Dataset FleetSim::labeled_core_rows() const {
@@ -2349,6 +2294,7 @@ void FleetSim::start_ota_transfer(std::size_t device_index,
   if (ro.has_delta && t.full) {
     ++ota.full_fallbacks;
     ++ota.epochs_log[ro.entry].full_fallbacks;
+    obs::registry().counter("ota.full_fallbacks").add();
   }
 
   const std::size_t idx = ota_transfers_.size();
@@ -2721,6 +2667,7 @@ void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
   OtaSummary& ota = report_.deploy.ota;
   ota.delta_downlink_bytes += bytes;
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
+  obs::registry().counter("ota.downlink_bytes").add(bytes);
 
   // A lost rollback command is visible, not fatal: the device stays on the
   // rolled-back version and the end-of-run histogram exposes it.

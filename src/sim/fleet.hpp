@@ -19,7 +19,6 @@
 #include "deploy/compiled_model.hpp"
 #include "deploy/runtime.hpp"
 #include "net/channel.hpp"
-#include "net/faults.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -161,7 +160,7 @@ struct FleetConfig {
       .latency_s = 0.005, .jitter_s = 0.001, .bandwidth_bytes_per_s = 1.25e6,
       .drop_prob = 0.002, .duplicate_prob = 0.0, .max_retries = 2,
       .retry_backoff_s = 0.02};
-  net::FaultParams faults;
+  FaultParams faults;
 
   /// Transport policy applied to every link. The default (fire-and-forget)
   /// reproduces the legacy runtime byte-for-byte; kAckRetry turns each link

@@ -4,12 +4,11 @@ namespace iotml::sim {
 
 TierPipelines split_by_tier(pipeline::Pipeline&& full) {
   TierPipelines tiers;
-  for (auto& stage : full.take_stages()) {
-    switch (stage->tier()) {
-      case pipeline::Tier::kDevice: tiers.device.add(std::move(stage)); break;
-      case pipeline::Tier::kEdge: tiers.edge.add(std::move(stage)); break;
-      case pipeline::Tier::kCore: tiers.core.add(std::move(stage)); break;
-    }
+  for (pipeline::Stage& stage : full.take_stages()) {
+    pipeline::Pipeline& tier = stage.tier == pipeline::Tier::kDevice ? tiers.device
+                               : stage.tier == pipeline::Tier::kEdge ? tiers.edge
+                                                                     : tiers.core;
+    tier.add(std::move(stage.name), std::move(stage.fn), std::move(stage.player), stage.tier);
   }
   return tiers;
 }

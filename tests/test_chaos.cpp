@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "net/channel.hpp"
-#include "net/faults.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
@@ -216,21 +215,21 @@ TEST(ChaosPlan, DeterministicPerSeedAndPaired) {
 
 TEST(FaultPlan, CrashSchedulesDeterministicPerSeed) {
   const net::Topology topo = net::Topology::fleet(8, 2, {}, {});
-  net::FaultParams params;
+  FaultParams params;
   params.edge_crashes = 2.0;
   params.core_crashes = 1.0;
 
   Rng rng_a(7);
   Rng rng_b(7);
-  const auto a = net::make_fault_plan(topo, params, 60.0, rng_a);
-  const auto b = net::make_fault_plan(topo, params, 60.0, rng_b);
+  const auto a = make_fault_plan(topo, params, 60.0, rng_a);
+  const auto b = make_fault_plan(topo, params, 60.0, rng_b);
   ASSERT_EQ(a.size(), b.size());
   bool any_edge_crash = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
     EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].target, b[i].target);
-    if (a[i].kind == net::FaultKind::kEdgeCrash) any_edge_crash = true;
+    if (a[i].kind == EventKind::kEdgeCrash) any_edge_crash = true;
   }
   EXPECT_TRUE(any_edge_crash);
 }

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "net/channel.hpp"
-#include "net/faults.hpp"
 #include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
+#include "sim/chaos.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -210,12 +210,16 @@ TEST(Topology, Validation) {
 
 // ---- Fault plans -------------------------------------------------------------
 
+using sim::EventKind;
+using sim::FaultParams;
+using sim::make_fault_plan;
+
 TEST(Faults, PlanIsSortedAndPaired) {
   Topology topo = Topology::fleet(20, 4, {}, {});
   Rng rng(7);
   FaultParams params{.link_outages = 1.5, .link_outage_mean_s = 3.0,
                      .device_churns = 1.0, .device_offtime_mean_s = 5.0};
-  std::vector<Fault> plan = make_fault_plan(topo, params, 60.0, rng);
+  std::vector<sim::ChaosEvent> plan = make_fault_plan(topo, params, 60.0, rng);
   ASSERT_FALSE(plan.empty());
   EXPECT_EQ(plan.size() % 2, 0u);  // every down paired with an up
 
@@ -226,8 +230,8 @@ TEST(Faults, PlanIsSortedAndPaired) {
       EXPECT_GE(plan[i].time_s, plan[i - 1].time_s);
     }
     EXPECT_GE(plan[i].time_s, 0.0);
-    const bool is_down = plan[i].kind == FaultKind::kLinkDown ||
-                         plan[i].kind == FaultKind::kDeviceDown;
+    const bool is_down = plan[i].kind == EventKind::kLinkDown ||
+                         plan[i].kind == EventKind::kDeviceDown;
     (is_down ? downs : ups) += 1;
     if (is_down) {
       EXPECT_LT(plan[i].time_s, 60.0);  // downs start inside the window
@@ -242,9 +246,9 @@ TEST(Faults, PlanIsReproduciblePerSeed) {
   Rng a(42);
   Rng b(42);
   Rng c(43);
-  std::vector<Fault> plan_a = make_fault_plan(topo, params, 30.0, a);
-  std::vector<Fault> plan_b = make_fault_plan(topo, params, 30.0, b);
-  std::vector<Fault> plan_c = make_fault_plan(topo, params, 30.0, c);
+  std::vector<sim::ChaosEvent> plan_a = make_fault_plan(topo, params, 30.0, a);
+  std::vector<sim::ChaosEvent> plan_b = make_fault_plan(topo, params, 30.0, b);
+  std::vector<sim::ChaosEvent> plan_c = make_fault_plan(topo, params, 30.0, c);
   ASSERT_EQ(plan_a.size(), plan_b.size());
   for (std::size_t i = 0; i < plan_a.size(); ++i) {
     EXPECT_DOUBLE_EQ(plan_a[i].time_s, plan_b[i].time_s);
@@ -272,8 +276,8 @@ TEST(Faults, Validation) {
 }
 
 TEST(Faults, KindNames) {
-  EXPECT_EQ(fault_kind_name(FaultKind::kLinkDown), "link-down");
-  EXPECT_EQ(fault_kind_name(FaultKind::kDeviceUp), "device-up");
+  EXPECT_EQ(sim::event_kind_name(EventKind::kLinkDown), "link-down");
+  EXPECT_EQ(sim::event_kind_name(EventKind::kDeviceUp), "device-up");
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "data/metrics.hpp"
-#include "obs/clock.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
@@ -745,38 +745,91 @@ TEST(StageFramework, TierNameRoundTripsExhaustively) {
 }
 
 TEST(StageFramework, StagesMeasureWallTimeOutsidePipelineRun) {
-  // wall_time_us used to stay 0 unless Pipeline::run filled it; concrete
-  // stages now measure their own body, so a direct apply() reports time too.
-  Rng rng(29);
-  LambdaStage stage("busy", [](Dataset&, Rng&) {
+  // run_stage measures the body itself, so a stage run outside a Pipeline
+  // reports its wall time too.
+  Dataset ds = column_with({1, 2, 3}, {false, false, false});
+  StageReport report = run_stage("busy", "operator", Tier::kEdge, ds, [] {
     const std::int64_t start = obs::now_us();
     while (obs::now_us() - start < 1000) {  // spin ~1 ms of real time
     }
     return 0.0;
   });
-  Dataset ds = column_with({1, 2, 3}, {false, false, false});
-  StageReport report = stage.apply(ds, rng);
   EXPECT_GE(report.wall_time_us, 1000u);
+}
+
+TEST(StageFramework, RunStageFillsEveryField) {
+  Dataset ds = column_with({1, 2, 3, 4}, {false, true, false, true});
+  ds.add_numeric_column("y");
+  for (double v : {5.0, 6.0, 7.0, 8.0}) ds.column(1).push_numeric(v);
+  StageReport report = run_stage("keep-x-odd", "op", Tier::kCore, ds, [&ds] {
+    ds = ds.select_columns({0}).select_rows({0, 1, 2});
+    return 2.5;
+  });
+  EXPECT_EQ(report.stage_name, "keep-x-odd");
+  EXPECT_EQ(report.player, "op");
+  EXPECT_EQ(report.tier, Tier::kCore);
+  EXPECT_EQ(report.rows_in, 4u);
+  EXPECT_DOUBLE_EQ(report.missing_rate_in, 0.25);  // 2 of 8 cells
+  EXPECT_EQ(report.rows_out, 3u);
+  EXPECT_EQ(report.columns_out, 1u);
+  EXPECT_DOUBLE_EQ(report.missing_rate_out, 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(report.cost, 2.5);
+
+  // A body that empties the dataset leaves every output field 0.
+  report = run_stage("shed", "op", Tier::kEdge, ds, [&ds] {
+    ds = Dataset();
+    return 0.01;
+  });
+  EXPECT_EQ(report.rows_in, 3u);
+  EXPECT_EQ(report.rows_out, 0u);
+  EXPECT_EQ(report.columns_out, 0u);
+  EXPECT_DOUBLE_EQ(report.missing_rate_out, 0.0);
+}
+
+TEST(StageFramework, RunStageOpensNoSpanAndBumpsNoCounter) {
+  ASSERT_FALSE(obs::trace().enabled()) << "test assumes IOTML_TRACE is unset";
+  obs::Counter& stages_run = obs::registry().counter("pipeline.stages_run");
+  const std::uint64_t before = stages_run.value();
+  obs::trace().clear();
+  obs::trace().set_enabled(true);
+  Dataset ds = column_with({1, 2}, {false, false});
+  run_stage("quiet", "op", Tier::kEdge, ds, [] { return 1.0; });
+  const std::size_t direct_events = obs::trace().snapshot().size();
+  Pipeline p;
+  p.add("traced", [](Dataset&, Rng&) { return 1.0; });
+  Rng rng(30);
+  p.run(ds, rng);
+  std::set<std::string> names;
+  for (const obs::TraceEvent& e : obs::trace().snapshot()) names.insert(e.name);
+  obs::trace().set_enabled(false);
+  obs::trace().clear();
+  EXPECT_EQ(direct_events, 0u);
+  EXPECT_EQ(stages_run.value(), before + 1);  // the Pipeline's run only
+  EXPECT_EQ(names, (std::set<std::string>{"pipeline.run", "stage:traced"}));
 }
 
 TEST(StageFramework, TakeStagesEmptiesThePipeline) {
   Pipeline p;
   p.add("a", [](Dataset&, Rng&) { return 0.0; }, "op", Tier::kDevice);
-  p.add("b", [](Dataset&, Rng&) { return 0.0; }, "op", Tier::kCore);
-  auto stages = p.take_stages();
+  p.add("b", [](Dataset&, Rng&) { return 7.0; }, "op", Tier::kCore);
+  std::vector<Stage> stages = p.take_stages();
   ASSERT_EQ(stages.size(), 2u);
   EXPECT_EQ(p.size(), 0u);
   EXPECT_TRUE(p.reports().empty());
-  EXPECT_EQ(stages[0]->name(), "a");
-  EXPECT_EQ(stages[0]->tier(), Tier::kDevice);
-  EXPECT_EQ(stages[1]->tier(), Tier::kCore);
+  EXPECT_EQ(stages[0].name, "a");
+  EXPECT_EQ(stages[0].player, "op");
+  EXPECT_EQ(stages[0].tier, Tier::kDevice);
+  EXPECT_EQ(stages[1].tier, Tier::kCore);
+  Dataset ds;
+  Rng rng(31);
+  EXPECT_DOUBLE_EQ(stages[1].fn(ds, rng), 7.0);  // the moved body still runs
 }
 
 TEST(StageFramework, Validation) {
   Pipeline p;
-  EXPECT_THROW(p.add(nullptr), InvalidArgument);
-  EXPECT_THROW(LambdaStage("", [](Dataset&, Rng&) { return 0.0; }), InvalidArgument);
-  EXPECT_THROW(LambdaStage("x", nullptr), InvalidArgument);
+  EXPECT_THROW(p.add("", [](Dataset&, Rng&) { return 0.0; }), InvalidArgument);
+  EXPECT_THROW(p.add("x", nullptr), InvalidArgument);
+  EXPECT_EQ(p.size(), 0u);
 }
 
 TEST(StageFramework, EndToEndFieldPipeline) {

@@ -16,7 +16,9 @@
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/sensors.hpp"
-#include "pipeline/stages.hpp"
+#include "pipeline/privacy.hpp"
+#include "pipeline/reduction.hpp"
+#include "pipeline/stage.hpp"
 #include "roughsets/roughsets.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -166,7 +168,7 @@ TEST(Robustness, AllRowsDistinctEveryGranuleSingleton) {
   EXPECT_DOUBLE_EQ(rough::dependency_degree(rel, ds.labels()), 1.0);  // overfit
 }
 
-// ---- Stage classes and pipelines ----------------------------------------------------
+// ---- Declarative pipelines ----------------------------------------------------------
 
 TEST(Robustness, DeclarativePipelineEndToEnd) {
   Rng rng(6);
@@ -183,12 +185,34 @@ TEST(Robustness, DeclarativePipelineEndToEnd) {
   }
 
   pipeline::Pipeline p;
-  p.add(std::make_unique<pipeline::PrivacyStage>(
-      pipeline::PrivacyParams{.epsilon = 6.0, .sensitivity = {}, .randomize_categories = true}));
-  p.add(std::make_unique<pipeline::OutlierStage>(4.0));
-  p.add(std::make_unique<pipeline::ImputeStage>(pipeline::ImputeStrategy::kKnn));
-  p.add(std::make_unique<pipeline::NormalizeStage>(pipeline::NormalizeKind::kZScore));
-  p.add(std::make_unique<pipeline::FeatureSelectStage>(2));
+  p.add("privatize", [](data::Dataset& d, Rng& r) {
+    const pipeline::PrivacyReport rep = pipeline::privatize(
+        d, {.epsilon = 6.0, .sensitivity = {}, .randomize_categories = true}, r);
+    return 0.5 + 1e-4 * static_cast<double>(rep.numeric_cells_noised +
+                                            rep.categorical_cells_flipped);
+  }, "device-owner", pipeline::Tier::kDevice);
+  p.add("outlier-suppression", [](data::Dataset& d, Rng&) {
+    std::size_t suppressed = 0;
+    for (std::size_t f = 0; f < d.num_columns(); ++f) {
+      if (d.column(f).type() != data::ColumnType::kNumeric) continue;
+      suppressed += pipeline::suppress_outliers(
+          d, f, pipeline::detect_outliers_hampel(d.column(f), 4.0));
+    }
+    return 0.5 + 0.01 * static_cast<double>(suppressed);
+  }, "preprocessor");
+  p.add("impute(" + pipeline::impute_strategy_name(pipeline::ImputeStrategy::kKnn) + ")",
+        [](data::Dataset& d, Rng& r) {
+    const pipeline::ImputeReport rep = pipeline::impute(d, pipeline::ImputeStrategy::kKnn, r);
+    return 1.0 + 0.02 * static_cast<double>(rep.cells_imputed);
+  }, "preprocessor");
+  p.add("normalize(zscore)", [](data::Dataset& d, Rng&) {
+    pipeline::normalize(d, pipeline::NormalizeKind::kZScore);
+    return 0.5;
+  }, "preprocessor");
+  p.add("feature-select(MI,top2)", [](data::Dataset& d, Rng&) {
+    d = d.select_columns(pipeline::select_by_mutual_information(d, 2));
+    return 1.0;
+  }, "core-operator", pipeline::Tier::kCore);
 
   data::Dataset out = p.run(std::move(ds), rng);
   EXPECT_EQ(out.num_columns(), 2u);
@@ -206,10 +230,15 @@ TEST(Robustness, DeclarativePipelineEndToEnd) {
 }
 
 TEST(Robustness, StageValidation) {
-  EXPECT_THROW(pipeline::OutlierStage(0.0), InvalidArgument);
-  EXPECT_THROW(pipeline::FeatureSelectStage(0), InvalidArgument);
-  EXPECT_THROW(pipeline::PrivacyStage(
-                   {.epsilon = 0.0, .sensitivity = {}, .randomize_categories = true}),
+  data::Dataset ds;
+  data::Column& col = ds.add_numeric_column("x");
+  for (double v : {1.0, 2.0, 3.0}) col.push_numeric(v);
+  ds.set_labels({0, 1, 0});
+  Rng rng(5);
+  EXPECT_THROW(pipeline::detect_outliers_hampel(ds.column(0), 0.0), InvalidArgument);
+  EXPECT_THROW(pipeline::select_by_mutual_information(ds, 0), InvalidArgument);
+  EXPECT_THROW(pipeline::privatize(
+                   ds, {.epsilon = 0.0, .sensitivity = {}, .randomize_categories = true}, rng),
                InvalidArgument);
 }
 

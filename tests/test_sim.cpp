@@ -795,10 +795,10 @@ TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
 // and rollback commands) in both channel modes, each bound a device backlog
 // evicts by and every OTA transfer fallback, plus one fleet wide enough to
 // sense on worker threads. Each case pins the FNV-1a-64 digests of its
-// event log, its FleetReport JSON and, when the observatory is on, its
-// journeys.jsonl ("-" otherwise) in golden/fleet_digest_grid.txt, so a
-// change to the transport, the simulator or the journey store that moves
-// one byte of any fails here.
+// event log, its FleetReport JSON, its journeys.jsonl when the observatory
+// is on ("-" otherwise) and its stage ledger in golden/fleet_digest_grid.txt,
+// so a change to the transport, the simulator, the journey store or the
+// stage accounting that moves one byte of any fails here.
 // Regenerate with IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour
 // change.
 struct GridCase {
@@ -1095,6 +1095,22 @@ std::string digest(const std::string& text) {
   return hex64(h);
 }
 
+/// Every stage run in push order, every field but the measured wall time.
+/// The report JSON keeps only per-name totals, so this pins what they lose:
+/// the order of runs, columns_out and both missing rates.
+std::string stage_ledger(const FleetReport& report) {
+  std::string text;
+  char line[512];
+  for (const pipeline::StageReport& r : report.stage_reports) {
+    std::snprintf(line, sizeof line, "%s %s %s %zu %zu %zu %.17g %.17g %.17g\n",
+                  r.stage_name.c_str(), r.player.c_str(), pipeline::tier_name(r.tier).c_str(),
+                  r.rows_in, r.rows_out, r.columns_out, r.missing_rate_in, r.missing_rate_out,
+                  r.cost);
+    text += line;
+  }
+  return text;
+}
+
 TEST(FleetDigest, GridMatchesPinnedBytes) {
   const std::string path = std::string(IOTML_GOLDEN_DIR) + "/fleet_digest_grid.txt";
   std::ostringstream table;
@@ -1111,7 +1127,7 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
       journeys = digest(jsonl.str());
     }
     table << gc.name << ' ' << digest(events) << ' ' << digest(report.to_json()) << ' '
-          << journeys << '\n';
+          << journeys << ' ' << digest(stage_ledger(report)) << '\n';
   }
   const char* update = std::getenv("IOTML_UPDATE_GOLDEN");  // NOLINT(concurrency-mt-unsafe)
   if (update != nullptr && update[0] == '1') {
@@ -1124,6 +1140,52 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
   ASSERT_FALSE(pinned.str().empty())
       << "missing golden file; regenerate with IOTML_UPDATE_GOLDEN=1";
   EXPECT_EQ(table.str(), pinned.str());
+}
+
+// The registry's OTA counters are named after the OtaSummary fields they
+// mirror, so a metrics dump must agree with the report on every OTA row:
+// run-wide counters with their field, per-transfer ones with the sum of
+// their per-epoch field.
+TEST(FleetDigest, OtaCountersMatchTheReport) {
+  obs::Registry& registry = obs::registry();
+  std::size_t ota_rows = 0;
+  for (const GridCase& gc : digest_grid()) {
+    if (!gc.config.ota.enabled) continue;
+    ++ota_rows;
+    const char* const names[] = {"ota.full_fallbacks", "ota.downlink_bytes",
+                                 "ota.chunk_sends",    "ota.probe_uplink_bytes",
+                                 "ota.resume_rounds",  "ota.promotions",
+                                 "ota.rollbacks",      "ota.commits",
+                                 "ota.devices_stuck",  "ota.device_rollbacks"};
+    std::map<std::string, std::uint64_t> before;
+    for (const char* name : names) before[name] = registry.counter(name).value();
+    FleetSim sim(gc.config);
+    const OtaSummary ota = sim.run().deploy.ota;
+    std::uint64_t updated = 0;
+    std::uint64_t stuck = 0;
+    std::uint64_t rolled_back = 0;
+    for (const OtaEpochEntry& e : ota.epochs_log) {
+      updated += e.devices_updated;
+      stuck += e.devices_stuck;
+      rolled_back += e.devices_rolled_back;
+    }
+    const std::map<std::string, std::uint64_t> report = {
+        {"ota.full_fallbacks", ota.full_fallbacks},
+        {"ota.downlink_bytes", ota.delta_downlink_bytes},
+        {"ota.chunk_sends", ota.chunks_sent},
+        {"ota.probe_uplink_bytes", ota.probe_uplink_bytes},
+        {"ota.resume_rounds", ota.resume_rounds},
+        {"ota.promotions", ota.promotions},
+        {"ota.rollbacks", ota.rollbacks},
+        {"ota.commits", updated},
+        {"ota.devices_stuck", stuck},
+        {"ota.device_rollbacks", rolled_back}};
+    for (const auto& [name, value] : report) {
+      EXPECT_EQ(registry.counter(name).value() - before.at(name), value)
+          << gc.name << ' ' << name;
+    }
+  }
+  EXPECT_EQ(ota_rows, 3u);
 }
 
 // handle() names each event's span from a table of literals, and perfbench

@@ -58,6 +58,13 @@ R9  float-equality        Bare `==` / `!=` against a floating-point literal is
                           std::abs tolerance, or restructure the check over
                           integers (e.g. loop indices instead of the float
                           values they select).
+R10 stage-accounting      A default-constructed StageReport declaration
+                          (`StageReport x;` / `pipeline::StageReport x;`) is
+                          forbidden in src/ outside src/pipeline/stage.* and
+                          src/sim/stage_log.cpp — every stage report comes
+                          from pipeline::run_stage, so rows, columns, missing
+                          rates, cost and the one wall-time measurement are
+                          filled the same way wherever a stage runs.
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -408,6 +415,27 @@ def check_float_equality(root: Path) -> list[str]:
     return problems
 
 
+STAGE_REPORT_DECL = re.compile(r"\b(?:pipeline::)?StageReport\s+\w+\s*(?:\{\s*\})?\s*;")
+STAGE_ACCOUNTING_HOMES = {"pipeline/stage.hpp", "pipeline/stage.cpp", "sim/stage_log.cpp"}
+
+
+def check_stage_accounting(src: Path) -> list[str]:
+    """R10: StageReports are filled by pipeline::run_stage, not field by field."""
+    problems = []
+    for f in sorted(list(src.rglob("*.cpp")) + list(src.rglob("*.hpp"))):
+        if f.relative_to(src).as_posix() in STAGE_ACCOUNTING_HOMES:
+            continue
+        code = strip_comments_and_strings(f.read_text())
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            if STAGE_REPORT_DECL.search(line):
+                problems.append(
+                    f"{f.relative_to(src.parent)}:{lineno}: R10 default-constructed "
+                    f"StageReport — build stage reports with pipeline::run_stage "
+                    f"(src/pipeline/stage.hpp) so every field is filled in one place"
+                )
+    return problems
+
+
 def check_pragma_once(src: Path) -> list[str]:
     """R5: every header uses #pragma once."""
     problems = []
@@ -507,6 +535,19 @@ def self_test() -> int:
          check_float_equality)
     case("R9-clean-src-out-of-scope", False, {"src/a.cpp": "bool b = v == 5.0;\n"},
          check_float_equality)
+    case("R10-flag", True,
+         {"src/sim/fleet.cpp": "  StageReport st;\n  st.stage_name = \"x\";\n"},
+         check_stage_accounting, scope="src")
+    case("R10-flag-qualified", True,
+         {"src/sim/report.cpp": "pipeline::StageReport r{};\n"},
+         check_stage_accounting, scope="src")
+    case("R10-clean", False,
+         {"src/pipeline/stage.hpp": "#pragma once\n  StageReport report;\n",
+          "src/sim/stage_log.cpp": "  pipeline::StageReport out;\n",
+          "src/sim/fleet.cpp":
+          "StageReport acq = pipeline::run_stage(\"a\", \"d\", t, ds, body);\n"
+          "for (const StageReport& r : reports) {}\n"},
+         check_stage_accounting, scope="src")
 
     if failures:
         for f in failures:
@@ -541,6 +582,7 @@ def main() -> int:
     problems += check_serialization_casts(args.root)
     problems += check_transport_discipline(args.root)
     problems += check_float_equality(args.root)
+    problems += check_stage_accounting(src)
 
     if problems:
         for p in problems:
@@ -549,7 +591,7 @@ def main() -> int:
         return 1
     print("lint_invariants: clean (R1 preconditions, R2 throws, R3 cycles, R4 rng, "
           "R5 pragma, R6 timing, R7 serialization casts, R8 transport, "
-          "R9 float equality)")
+          "R9 float equality, R10 stage accounting)")
     return 0
 
 
