@@ -281,7 +281,9 @@ Samples to_samples(const Dataset& ds, MissingPolicy policy) {
 Dataset samples_to_dataset(const Samples& s) {
   Dataset out;
   for (std::size_t c = 0; c < s.dim(); ++c) {
-    Column& col = out.add_numeric_column("f" + std::to_string(c));
+    std::string name = "f";
+    name += std::to_string(c);
+    Column& col = out.add_numeric_column(name);
     for (std::size_t r = 0; r < s.size(); ++r) col.push_numeric(s.x(r, c));
   }
   if (!s.y.empty()) out.set_labels(s.y);

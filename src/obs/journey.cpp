@@ -1,5 +1,6 @@
 #include "obs/journey.hpp"
 
+#include <bit>
 #include <limits>
 
 #include "obs/json.hpp"
@@ -35,6 +36,19 @@ const char* hop_stream_name(HopStream stream) noexcept {
   return "?";
 }
 
+namespace {
+
+// The flags byte: kind in bits 0-1, stream in bits 2-4, t1's mode in bits 5-6.
+constexpr int kStreamShift = 2;
+constexpr int kT1Shift = 5;
+constexpr std::uint8_t kT1IsT0 = 0;  ///< t1 has t0's bit pattern
+constexpr std::uint8_t kT1Zero = 1;  ///< t1 is +0.0 (a frame that never landed)
+constexpr std::uint8_t kT1Stored = 2;
+static_assert(util::enum_u8(HopKind::kArrive) < (1 << kStreamShift));
+static_assert(util::enum_u8(HopStream::kSummary) < (1 << (kT1Shift - kStreamShift)));
+
+}  // namespace
+
 JourneyLog::JourneyLog(std::size_t capacity) : capacity_(capacity) {
   IOTML_CHECK(capacity_ >= 1, "JourneyLog: capacity must be at least 1");
 }
@@ -50,28 +64,73 @@ void JourneyLog::record(const HopRecord& r) {
     ++dropped_;
     return;
   }
-  hops_.push_back({.trace = r.trace,
-                   .t0_s = r.t0_s,
-                   .t1_s = r.t1_s,
-                   .outcome = r.outcome,
-                   .src = static_cast<std::uint32_t>(r.src),
-                   .dst = static_cast<std::uint32_t>(r.dst),
-                   .rows = static_cast<std::uint32_t>(r.rows),
-                   .bytes = static_cast<std::uint32_t>(r.bytes),
-                   .hop = r.hop,
-                   .attempts = r.attempts,
-                   .parents = static_cast<std::uint32_t>(r.parents.size()),
-                   .kind = r.kind,
-                   .stream = r.stream});
-  for (const std::uint64_t parent : r.parents) parents_.push_back(parent);
+  std::size_t outcome = 0;
+  while (outcome < outcomes_.size() && outcomes_[outcome] != r.outcome) ++outcome;
+  if (outcome == outcomes_.size()) outcomes_.push_back(r.outcome);
+  // Bit patterns, not values: a -0.0 t1 beside a +0.0 t0 is stored.
+  const std::uint64_t t0_bits = std::bit_cast<std::uint64_t>(r.t0_s);
+  const std::uint64_t t1_bits = std::bit_cast<std::uint64_t>(r.t1_s);
+  const std::uint8_t t1_mode = t1_bits == t0_bits ? kT1IsT0 : t1_bits == 0 ? kT1Zero : kT1Stored;
+  hops_.append([&](util::ByteWriter& out) {
+    out.u8(static_cast<std::uint8_t>(util::enum_u8(r.kind) |
+                                      util::enum_u8(r.stream) << kStreamShift |
+                                      t1_mode << kT1Shift));
+    out.varint_u64(outcome);
+    out.varint_i64(static_cast<std::int64_t>(r.trace - last_trace_));
+    out.varint_u64(r.hop);
+    out.varint_u64(r.src);
+    out.varint_u64(r.dst);
+    out.varint_u64(r.rows);
+    out.varint_u64(r.bytes);
+    out.varint_u64(r.attempts);
+    out.varint_u64(r.parents.size());
+    out.f64(r.t0_s);
+    if (t1_mode == kT1Stored) out.f64(r.t1_s);
+    std::uint64_t previous = r.trace;
+    for (const std::uint64_t parent : r.parents) {
+      out.varint_i64(static_cast<std::int64_t>(parent - previous));
+      previous = parent;
+    }
+  });
+  last_trace_ = r.trace;
 }
 
 template <typename F>
 void JourneyLog::for_each_hop(F&& f) const {
-  std::size_t first_parent = 0;
-  hops_.for_each([&](const Hop& h) {
-    f(h, first_parent);
-    first_parent += h.parents;
+  HopRecord hop;
+  std::uint64_t trace = 0;
+  hops_.for_each([&](util::ByteReader& in) {
+    const std::uint8_t flags = in.u8();
+    hop.kind = static_cast<HopKind>(flags & 0x3U);
+    hop.stream = static_cast<HopStream>((flags >> kStreamShift) & 0x7U);
+    hop.outcome = outcomes_[in.varint_u64()];
+    trace += static_cast<std::uint64_t>(in.varint_i64());
+    hop.trace = trace;
+    hop.hop = static_cast<std::uint32_t>(in.varint_u64());
+    hop.src = in.varint_u64();
+    hop.dst = in.varint_u64();
+    hop.rows = in.varint_u64();
+    hop.bytes = in.varint_u64();
+    hop.attempts = static_cast<std::uint32_t>(in.varint_u64());
+    const std::uint64_t parents = in.varint_u64();
+    hop.t0_s = in.f64();
+    switch (flags >> kT1Shift) {
+      case kT1IsT0:
+        hop.t1_s = hop.t0_s;
+        break;
+      case kT1Zero:
+        hop.t1_s = 0.0;
+        break;
+      default:
+        hop.t1_s = in.f64();
+    }
+    hop.parents.clear();
+    std::uint64_t previous = trace;
+    for (std::uint64_t i = 0; i < parents; ++i) {
+      previous += static_cast<std::uint64_t>(in.varint_i64());
+      hop.parents.push_back(previous);
+    }
+    f(hop);
   });
 }
 
@@ -85,27 +144,16 @@ std::uint64_t JourneyLog::dropped() const {
   return dropped_;
 }
 
+std::size_t JourneyLog::bytes() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return hops_.bytes();
+}
+
 std::vector<HopRecord> JourneyLog::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<HopRecord> out;
   out.reserve(hops_.size());
-  for_each_hop([&](const Hop& h, std::size_t first_parent) {
-    HopRecord& r = out.emplace_back();
-    r.trace = h.trace;
-    r.hop = h.hop;
-    r.kind = h.kind;
-    r.stream = h.stream;
-    r.src = h.src;
-    r.dst = h.dst;
-    r.t0_s = h.t0_s;
-    r.t1_s = h.t1_s;
-    r.rows = h.rows;
-    r.bytes = h.bytes;
-    r.attempts = h.attempts;
-    r.outcome = h.outcome;
-    r.parents.reserve(h.parents);
-    for (std::size_t i = 0; i < h.parents; ++i) r.parents.push_back(parents_[first_parent + i]);
-  });
+  for_each_hop([&](const HopRecord& hop) { out.push_back(hop); });
   return out;
 }
 
@@ -114,7 +162,7 @@ void JourneyLog::write_jsonl(std::ostream& out) const {
   // First line is a meta record so readers know whether history was shed.
   out << "{\"meta\": {\"records\": " << hops_.size() << ", \"dropped\": " << dropped_
       << "}}\n";
-  for_each_hop([&](const Hop& h, std::size_t first_parent) {
+  for_each_hop([&](const HopRecord& h) {
     out << "{\"trace\": " << h.trace << ", \"kind\": \"" << hop_kind_name(h.kind)
         << "\", \"stream\": \"" << hop_stream_name(h.stream) << "\", \"hop\": " << h.hop
         << ", \"src\": " << h.src << ", \"dst\": " << h.dst
@@ -122,9 +170,9 @@ void JourneyLog::write_jsonl(std::ostream& out) const {
         << ", \"rows\": " << h.rows << ", \"bytes\": " << h.bytes
         << ", \"attempts\": " << h.attempts << ", \"outcome\": \"" << h.outcome
         << "\", \"parents\": [";
-    for (std::size_t i = 0; i < h.parents; ++i) {
+    for (std::size_t i = 0; i < h.parents.size(); ++i) {
       if (i > 0) out << ", ";
-      out << parents_[first_parent + i];
+      out << h.parents[i];
     }
     out << "]}\n";
   });
@@ -133,7 +181,8 @@ void JourneyLog::write_jsonl(std::ostream& out) const {
 void JourneyLog::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   hops_.clear();
-  parents_.clear();
+  outcomes_.clear();
+  last_trace_ = 0;
   dropped_ = 0;
 }
 

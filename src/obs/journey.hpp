@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/chunked_log.hpp"
+#include "util/record_log.hpp"
 
 namespace iotml::obs {
 
@@ -53,12 +53,15 @@ struct HopRecord {
 
 /// Bounded append-only log of hop records. Appends past `capacity` are
 /// counted in dropped() rather than stored, so a runaway sim cannot OOM the
-/// observatory. Each hop is stored as a fixed 64-byte record, its src, dst,
-/// rows, bytes and parent count narrowed to 32 bits; parent ids go to one
-/// shared arena in append order, so a stored hop owns no allocation and costs
-/// 64 B plus 8 B per parent. Records and arena grow in fixed chunks, so an
-/// append never holds an old and a new copy of the whole log. snapshot() and
-/// write_jsonl() rebuild the recorded HopRecords exactly. Thread-safe;
+/// observatory. Each hop is stored as one variable-length record in a
+/// util::RecordLog: a flags byte (kind, stream, and whether t1 is t0's bit
+/// pattern, +0.0 or stored), the outcome as an index into the log's table of
+/// distinct outcome pointers, the trace as a zigzag delta from the previous
+/// stored hop's, then hop, src, dst, rows, bytes, attempts and the parent
+/// count as varints, t0 (and t1 when stored) as raw f64 bits, and the
+/// parents as zigzag deltas chained from the trace. A fleet hop costs
+/// 23.7 B, parents included (fleet-wire, seed 1). snapshot() and
+/// write_jsonl() rebuild the recorded HopRecords bit for bit. Thread-safe;
 /// write_jsonl emits one fixed-key-order JSON object per line in append
 /// order.
 class JourneyLog {
@@ -66,12 +69,18 @@ class JourneyLog {
   explicit JourneyLog(std::size_t capacity);
 
   /// Appends `r`, or counts it as dropped once the log holds `capacity`
-  /// records. Throws InvalidArgument if r.src, r.dst, r.rows, r.bytes or the
-  /// number of r.parents exceeds 2^32 - 1, the width each is stored in.
+  /// records. Allocates only to start a chunk, to grow the one reused
+  /// encode buffer or to list a new outcome pointer. Throws
+  /// InvalidArgument, storing nothing, if r.src, r.dst, r.rows, r.bytes or
+  /// the number of r.parents exceeds 2^32 - 1.
   void record(const HopRecord& r);
 
   std::size_t size() const;
   std::uint64_t dropped() const;
+
+  /// Bytes the stored records hold.
+  std::size_t bytes() const;
+
   std::vector<HopRecord> snapshot() const;
 
   void write_jsonl(std::ostream& out) const;
@@ -79,31 +88,16 @@ class JourneyLog {
   void clear();
 
  private:
-  struct Hop {
-    std::uint64_t trace = 0;
-    double t0_s = 0.0;
-    double t1_s = 0.0;
-    const char* outcome = "";
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint32_t rows = 0;
-    std::uint32_t bytes = 0;
-    std::uint32_t hop = 0;
-    std::uint32_t attempts = 0;
-    std::uint32_t parents = 0;  ///< count; they follow the previous hop's in the arena
-    HopKind kind = HopKind::kSend;
-    HopStream stream = HopStream::kRows;
-  };
-  static_assert(sizeof(Hop) <= 64, "a journey record stays within 64 bytes");
-
-  /// Calls `f(hop, first parent's arena index)` for every stored hop.
+  /// Calls `f(hop)` for every stored hop in append order; `hop` is one
+  /// HopRecord reused for each.
   template <typename F>
   void for_each_hop(F&& f) const;
 
   mutable std::mutex mu_;
   std::size_t capacity_;
-  ChunkedLog<Hop> hops_;
-  ChunkedLog<std::uint64_t> parents_;
+  util::RecordLog hops_;
+  std::vector<const char*> outcomes_;  ///< each distinct outcome pointer, first use first
+  std::uint64_t last_trace_ = 0;       ///< the last stored hop's trace
   std::uint64_t dropped_ = 0;
 };
 

@@ -250,6 +250,10 @@ class FleetSim {
   /// building the vector: the bytes run() writes to events.log.
   void write_event_log(std::ostream& out) const { sched_.write_log(out); }
 
+  /// Bytes the stored events hold (Scheduler::bytes): the event log's cost
+  /// before it is rendered.
+  std::size_t event_log_bytes() const noexcept { return sched_.bytes(); }
+
   const net::Topology& topology() const noexcept { return topo_; }
 
   /// The run's observatory, or nullptr when config.observatory.enabled is

@@ -427,7 +427,9 @@ struct FleetReport {
   FaultLedger faults;          ///< all-zero on a fault-free run
   net::ChannelStats channels;  ///< every channel's counters, summed
 
-  StageLog stage_reports;  ///< every stage run, in order
+  /// Every stage run, in order, each kept as one varint record (23.4 B
+  /// a run on fleet-wire; see StageLog) and read back as a StageReport.
+  StageLog stage_reports;
   std::vector<LinkReport> links;
   LatencySummary latency;  ///< end-to-end, mirror of latency_tiers["end-to-end"]
 

@@ -59,8 +59,11 @@ void Scheduler::push(double time_s, EventKind kind, std::size_t target,
                      std::size_t message) {
   IOTML_CHECK(time_s >= now_s_, "Scheduler::push: event scheduled into the past");
   IOTML_CHECK(target <= kMaxTarget, "Scheduler::push: target exceeds 32 bits");
-  enqueue({{time_s, next_seq_++, message, static_cast<std::uint32_t>(target),
-            static_cast<std::uint8_t>(kind)}});
+  enqueue({.time_s = time_s,
+           .seq = next_seq_++,
+           .message = message,
+           .target = static_cast<std::uint32_t>(target),
+           .kind = static_cast<std::uint8_t>(kind)});
 }
 
 void Scheduler::push_series(double first_s, double period_s, double until_s, EventKind kind,
@@ -78,10 +81,12 @@ void Scheduler::push_series(double first_s, double period_s, double until_s, Eve
     t = next_s;
   }
   if (count == 0) return;
-  enqueue({{first_s, next_seq_, kNoMessage, static_cast<std::uint32_t>(target),
-            static_cast<std::uint8_t>(kind)},
-           period_s,
-           until_s});
+  enqueue({.time_s = first_s,
+           .seq = next_seq_,
+           .target = static_cast<std::uint32_t>(target),
+           .kind = static_cast<std::uint8_t>(kind),
+           .period_s = period_s,
+           .until_s = until_s});
   next_seq_ += count;
 }
 
@@ -94,30 +99,52 @@ Event Scheduler::pop() {
   IOTML_CHECK(!queue_.empty(), "Scheduler::pop: queue is empty");
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
   Entry& top = queue_.back();
-  const Record event = top.event;
+  const Event event{top.time_s, top.seq, static_cast<EventKind>(top.kind), top.target,
+                    top.message};
   // A series re-queues itself as its successor: one period later, with the
   // next seq of its block. The successor never falls due before this event.
-  if (top.period_s > 0.0 && event.time_s + top.period_s < top.until_s) {
-    top.event.time_s = event.time_s + top.period_s;
-    ++top.event.seq;
+  if (top.period_s > 0.0 && top.time_s + top.period_s < top.until_s) {
+    top.time_s += top.period_s;
+    ++top.seq;
     std::push_heap(queue_.begin(), queue_.end(), Later{});
   } else {
     queue_.pop_back();
   }
   now_s_ = event.time_s;
-  popped_.push_back(event);
-  return {event.time_s, event.seq, static_cast<EventKind>(event.kind), event.target,
-          event.message};
+  popped_.append([&](util::ByteWriter& out) {
+    out.u8(static_cast<std::uint8_t>(event.kind));
+    out.f64(event.time_s);
+    out.varint_i64(static_cast<std::int64_t>(event.seq - last_popped_seq_));
+    out.varint_u64(event.target);
+    out.varint_u64(event.message + 1);  // kNoMessage wraps to 0
+  });
+  last_popped_seq_ = event.seq;
+  return event;
 }
 
-std::size_t Scheduler::render(const Record& event, char (&line)[128]) {
-  const std::string_view kind = event_kind_name(static_cast<EventKind>(event.kind));
+template <typename F>
+void Scheduler::for_each_popped(F&& f) const {
+  Event event;
+  std::uint64_t seq = 0;
+  popped_.for_each([&](util::ByteReader& in) {
+    event.kind = static_cast<EventKind>(in.u8());
+    event.time_s = in.f64();
+    seq += static_cast<std::uint64_t>(in.varint_i64());
+    event.seq = seq;
+    event.target = in.varint_u64();
+    event.message = in.varint_u64() - 1;
+    f(event);
+  });
+}
+
+std::size_t Scheduler::render(const Event& event, char (&line)[128]) {
+  const std::string_view kind = event_kind_name(event.kind);
   const int n =
       event.message == kNoMessage
-          ? std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%u", event.time_s,
+          ? std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu", event.time_s,
                           static_cast<unsigned long long>(event.seq),
                           static_cast<int>(kind.size()), kind.data(), event.target)
-          : std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%u msg=%zu",
+          : std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu msg=%zu",
                           event.time_s, static_cast<unsigned long long>(event.seq),
                           static_cast<int>(kind.size()), kind.data(), event.target,
                           event.message);
@@ -129,13 +156,13 @@ std::vector<std::string> Scheduler::log() const {
   std::vector<std::string> lines;
   lines.reserve(popped_.size());
   char line[128];
-  popped_.for_each([&](const Record& event) { lines.emplace_back(line, render(event, line)); });
+  for_each_popped([&](const Event& event) { lines.emplace_back(line, render(event, line)); });
   return lines;
 }
 
 void Scheduler::write_log(std::ostream& out) const {
   char line[128];
-  popped_.for_each([&](const Record& event) {
+  for_each_popped([&](const Event& event) {
     const std::size_t n = render(event, line);
     line[n] = '\n';
     out.write(line, static_cast<std::streamsize>(n + 1));

@@ -7,7 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/chunked_log.hpp"
+#include "util/record_log.hpp"
 
 namespace iotml::sim {
 
@@ -79,9 +79,10 @@ struct Event {
 /// a pure function of the pushes — no wall-clock reads anywhere (lint R6).
 /// A periodic series is queued one event at a time: the queue holds one
 /// entry per one-off event and one per live series, not every event a run
-/// will see. Every pop keeps a 32-byte record of its event; the event log,
-/// which the determinism test compares byte-for-byte across runs, is
-/// rendered from those records only when it is read.
+/// will see. Every pop keeps its event as one variable-length record (see
+/// bytes(); 14.5 B on fleet-wire); the event log, which the determinism
+/// test compares byte-for-byte across runs, is rendered from those records
+/// only when it is read.
 class Scheduler {
  public:
   /// Targets are kept as 32 bits; a wider one is rejected at push.
@@ -111,60 +112,68 @@ class Scheduler {
   /// series that still has events to pop, however many it has left.
   std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Pop the earliest event and advance the virtual clock to it. Throws
-  /// InvalidArgument when the queue is empty.
+  /// Pop the earliest event, advance the virtual clock to it and append its
+  /// log record; the log allocates only to start a chunk or to grow its one
+  /// reused encode buffer. Throws InvalidArgument when the queue is empty.
   Event pop();
 
   /// Current virtual time: the timestamp of the last popped event.
   double now_s() const noexcept { return now_s_; }
 
+  /// Events popped so far: one log record each.
   std::uint64_t processed() const noexcept { return popped_.size(); }
+
+  /// Bytes the popped events' records hold. Each record is the kind byte,
+  /// the time as raw f64 bits, the seq as a zigzag varint delta from the
+  /// previous pop's, the target as a varint and message + 1 as a varint
+  /// (0 when the event carries none).
+  std::size_t bytes() const noexcept { return popped_.bytes(); }
 
   /// The event log: one line per popped event, in processing order,
   /// `t=<time_s, 6 decimals> #<seq> <kind> target=<target>[ msg=<message>]`
-  /// (msg only when the event carries one). Rendered from the stored events
-  /// on every call; write_log() streams the same lines without the vector.
+  /// (msg only when the event carries one). Decoded from the popped events'
+  /// records and rendered on every call; write_log() streams the same lines
+  /// without the vector.
   std::vector<std::string> log() const;
 
   /// Writes the lines of log() to `out`, each followed by '\n'.
   void write_log(std::ostream& out) const;
 
  private:
-  /// An event as the queue and the log keep it: time, seq and message at
-  /// full width, the target as 32 bits and the kind as one byte.
-  struct Record {
+  /// A queued event: time, seq and message at full width, the target as 32
+  /// bits and the kind as one byte. A series' next event also carries the
+  /// series' period and end (`period_s` is 0 for a one-off event).
+  struct Entry {
     double time_s = 0.0;
     std::uint64_t seq = 0;
     std::size_t message = kNoMessage;
     std::uint32_t target = 0;
     std::uint8_t kind = 0;
-  };
-  static_assert(sizeof(Record) <= 32, "a logged event is 32 bytes");
-
-  /// A queued event; a series' next event also carries the series' period
-  /// and end (`period_s` is 0 for a one-off event).
-  struct Entry {
-    Record event;
     double period_s = 0.0;
     double until_s = 0.0;
   };
 
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.event.time_s != b.event.time_s) return a.event.time_s > b.event.time_s;
-      return a.event.seq > b.event.seq;
+      if (a.time_s != b.time_s) return a.time_s > b.time_s;
+      return a.seq > b.seq;
     }
   };
 
   void enqueue(const Entry& entry);
 
+  /// Calls `f(event)` for every popped event, in processing order.
+  template <typename F>
+  void for_each_popped(F&& f) const;
+
   /// Formats `event`'s log line into `line` (no newline); returns its length.
-  static std::size_t render(const Record& event, char (&line)[128]);
+  static std::size_t render(const Event& event, char (&line)[128]);
 
   std::vector<Entry> queue_;  ///< a binary heap under Later
   std::uint64_t next_seq_ = 0;
   double now_s_ = 0.0;
-  ChunkedLog<Record> popped_;
+  util::RecordLog popped_;
+  std::uint64_t last_popped_seq_ = 0;  ///< the base of the next pop's seq delta
 };
 
 }  // namespace iotml::sim

@@ -42,6 +42,9 @@ class ByteWriter {
 
   std::size_t size() const noexcept { return bytes_.size(); }
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
+  /// Empties the buffer but keeps its capacity, so a writer reused for one
+  /// record after another allocates only when a record outgrows them all.
+  void clear() noexcept { bytes_.clear(); }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -447,6 +448,8 @@ TEST(ObsJourney, JsonlHasMetaLineAndFixedKeyOrder) {
   EXPECT_EQ(n, 2u);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void expect_same_hop(const obs::HopRecord& got, const obs::HopRecord& want) {
   EXPECT_EQ(got.trace, want.trace);
   EXPECT_EQ(got.hop, want.hop);
@@ -454,8 +457,8 @@ void expect_same_hop(const obs::HopRecord& got, const obs::HopRecord& want) {
   EXPECT_EQ(got.stream, want.stream);
   EXPECT_EQ(got.src, want.src);
   EXPECT_EQ(got.dst, want.dst);
-  EXPECT_EQ(got.t0_s, want.t0_s);
-  EXPECT_EQ(got.t1_s, want.t1_s);
+  EXPECT_EQ(bits(got.t0_s), bits(want.t0_s));
+  EXPECT_EQ(bits(got.t1_s), bits(want.t1_s));
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.bytes, want.bytes);
   EXPECT_EQ(got.attempts, want.attempts);
@@ -494,8 +497,8 @@ TEST(ObsJourney, CompactRecordsRoundTripThroughSnapshot) {
       in.push_back(r);
     }
   }
-  // Every narrowed field at the largest value it stores, and more parents
-  // than a 16-bit count could hold.
+  // Every 32-bit field at 2^32 - 1, and more parents than fit in one
+  // storage chunk.
   obs::HopRecord widest = make_hop(std::numeric_limits<std::uint64_t>::max(), "corrupt");
   widest.hop = std::numeric_limits<std::uint32_t>::max();
   widest.src = kMax32;
@@ -506,9 +509,38 @@ TEST(ObsJourney, CompactRecordsRoundTripThroughSnapshot) {
   widest.parents.assign(70000, 0);
   std::iota(widest.parents.begin(), widest.parents.end(), std::uint64_t{5});
   in.push_back(widest);
-  // Enough records after it that records and parents both span several
-  // storage chunks.
-  for (std::uint64_t trace = 0; trace < 600; ++trace) {
+  obs::JourneyLog lone(1);
+  lone.record(widest);
+  EXPECT_GT(lone.bytes(), 16u * 1024u);  // a record longer than a storage chunk
+  // Times the t1 shortcut must tell apart by bit pattern, not by value:
+  // signed zeros, NaNs with payloads, infinities and a subnormal.
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7FF8'0000'0000'0ABCu});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0xFFF8'0000'DEAD'0001u});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const double times[][2] = {{0.0, -0.0},     {-0.0, 0.0},     {-0.0, -0.0},
+                             {0.0, 0.0},      {nan_a, nan_a},  {nan_a, nan_b},
+                             {0.5, nan_a},    {nan_b, 0.0},    {inf, -inf},
+                             {-inf, -inf},    {inf, 0.0},      {1.0, inf},
+                             {subnormal, 0.0}, {0.0, subnormal}, {-subnormal, -subnormal}};
+  for (const auto& [t0, t1] : times) {
+    obs::HopRecord r = make_hop(in.size(), "delivered");
+    r.t0_s = t0;
+    r.t1_s = t1;
+    in.push_back(r);
+  }
+  // Degrade-summary traces (top bit set) next to small ones, with parents
+  // below and above their trace.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  for (const std::uint64_t trace : {kTop | 3, std::uint64_t{4}, kTop, kTop | 9, std::uint64_t{0}}) {
+    obs::HopRecord r = make_hop(trace, "accepted");
+    r.stream = obs::HopStream::kSummary;
+    r.parents = {trace - 1, trace + 1, 0, std::numeric_limits<std::uint64_t>::max(), trace,
+                 kTop | 2, 7};
+    in.push_back(r);
+  }
+  // Enough records after them that the records span several storage chunks.
+  for (std::uint64_t trace = 0; trace < 1500; ++trace) {
     in.push_back(make_hop(trace, outcomes[trace % 5]));
   }
 

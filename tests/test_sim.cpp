@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -7,7 +8,6 @@
 #include <iterator>
 #include <limits>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -62,6 +62,16 @@ TEST(Scheduler, RejectsPastEventsAndEmptyPop) {
   EXPECT_THROW(s.pop(), InvalidArgument);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_event(const Event& got, const Event& want, std::size_t step) {
+  EXPECT_EQ(bits(got.time_s), bits(want.time_s)) << step;
+  EXPECT_EQ(got.seq, want.seq) << step;
+  EXPECT_EQ(got.kind, want.kind) << step;
+  EXPECT_EQ(got.target, want.target) << step;
+  EXPECT_EQ(got.message, want.message) << step;
+}
+
 TEST(Scheduler, LogIsRenderedFromPoppedEventsOnEveryRead) {
   Scheduler s;
   s.push(0.5, EventKind::kDeviceFlush, 3);
@@ -89,6 +99,30 @@ TEST(Scheduler, LogIsRenderedFromPoppedEventsOnEveryRead) {
   std::string joined;
   for (const std::string& line : expected) joined += line + '\n';
   EXPECT_EQ(streamed.str(), joined);
+
+  // Edge values: times that tie by value but not by bit pattern (the clock
+  // starts at +0.0, which -0.0 does not precede), a subnormal and +inf;
+  // seq deltas of both signs; the widest target; msg = 0 next to the
+  // largest message.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const Event pushes[] = {
+      {subnormal, 0, EventKind::kArrival, Scheduler::kMaxTarget, 0},
+      {0.0, 1, EventKind::kDeviceFlush, 0, kNoMessage - 1},
+      {-0.0, 2, EventKind::kSummaryArrival, Scheduler::kMaxTarget, kNoMessage},
+      {inf, 3, EventKind::kEdgeFlush, 1, 0},
+      {-0.0, 4, EventKind::kCheckpoint, 5, kNoMessage - 1},
+  };
+  Scheduler edge;
+  for (const Event& e : pushes) edge.push(e.time_s, e.kind, e.target, e.message);
+  for (const std::size_t i : {1u, 2u, 4u, 0u, 3u}) expect_same_event(edge.pop(), pushes[i], i);
+  EXPECT_EQ(edge.log(), (std::vector<std::string>{
+                            "t=0.000000 #1 device-flush target=0 msg=18446744073709551614",
+                            "t=-0.000000 #2 summary-arrival target=4294967295",
+                            "t=-0.000000 #4 checkpoint target=5 msg=18446744073709551614",
+                            "t=0.000000 #0 arrival target=4294967295 msg=0",
+                            "t=inf #3 edge-flush target=1 msg=0",
+                        }));
 }
 
 TEST(Scheduler, EventKindNames) {
@@ -96,14 +130,6 @@ TEST(Scheduler, EventKindNames) {
   EXPECT_EQ(event_kind_name(EventKind::kArrival), "arrival");
   EXPECT_EQ(event_kind_name(EventKind::kLinkUp), "link-up");
   EXPECT_STREQ(event_span_name(EventKind::kLinkUp), "sim.event:link-up");
-}
-
-void expect_same_event(const Event& got, const Event& want, std::size_t step) {
-  EXPECT_EQ(got.time_s, want.time_s) << step;
-  EXPECT_EQ(got.seq, want.seq) << step;
-  EXPECT_EQ(got.kind, want.kind) << step;
-  EXPECT_EQ(got.target, want.target) << step;
-  EXPECT_EQ(got.message, want.message) << step;
 }
 
 // push_series must schedule exactly what its loop of push() calls would:
@@ -263,9 +289,9 @@ void expect_same_run(const pipeline::StageReport& got, const pipeline::StageRepo
   EXPECT_EQ(got.rows_in, want.rows_in) << i;
   EXPECT_EQ(got.rows_out, want.rows_out) << i;
   EXPECT_EQ(got.columns_out, want.columns_out) << i;
-  EXPECT_EQ(got.missing_rate_in, want.missing_rate_in) << i;
-  EXPECT_EQ(got.missing_rate_out, want.missing_rate_out) << i;
-  EXPECT_EQ(got.cost, want.cost) << i;
+  EXPECT_EQ(bits(got.missing_rate_in), bits(want.missing_rate_in)) << i;
+  EXPECT_EQ(bits(got.missing_rate_out), bits(want.missing_rate_out)) << i;
+  EXPECT_EQ(bits(got.cost), bits(want.cost)) << i;
   EXPECT_EQ(got.wall_time_us, want.wall_time_us) << i;
 }
 
@@ -282,10 +308,21 @@ TEST(StageLog, RunsRoundTripEveryFieldInPushOrder) {
                             {"integration", "edge-operator", Tier::kEdge},
                             {"clean(hampel)", "edge-operator", Tier::kEdge},
                             {"clean(hampel)", "device", Tier::kCore}};
+  // Rates and costs whose bit patterns a value comparison would blur:
+  // signed zeros, NaNs with payloads, infinities and subnormals.
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::bit_cast<double>(std::uint64_t{0x7FF8'0000'0000'0ABCu}),
+                             std::bit_cast<double>(std::uint64_t{0xFFF8'0000'DEAD'0001u}),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min()};
+  constexpr std::size_t kSpecials = std::size(specials);
   StageLog log;
   std::vector<pipeline::StageReport> pushed;
-  // 1,200 runs of 48 bytes fill three 16 KiB chunks and part of a fourth.
-  for (std::size_t i = 0; i < 1200; ++i) {
+  // 2,400 runs of about 30 bytes fill four 16 KiB chunks and part of a fifth.
+  for (std::size_t i = 0; i < 2400; ++i) {
     const Triple& t = triples[(i + i / 5) % 4];
     pipeline::StageReport r;
     r.stage_name = t.name;
@@ -298,10 +335,17 @@ TEST(StageLog, RunsRoundTripEveryFieldInPushOrder) {
     r.missing_rate_out = 1.0 / static_cast<double>(i + 3);
     r.cost = 0.2 + 0.01 * static_cast<double>(i);
     r.wall_time_us = i % 2 == 0 ? (std::uint64_t{1} << 32) + 1'000'003 * i : i;
+    if (i % 11 == 0) {
+      r.missing_rate_in = specials[i % kSpecials];
+      r.missing_rate_out = specials[(i + 1) % kSpecials];
+      r.cost = specials[(i + 2) % kSpecials];
+    }
+    if (i % 101 == 0) r.wall_time_us = std::numeric_limits<std::uint64_t>::max();
     log.push_back(r);
     pushed.push_back(r);
   }
   ASSERT_EQ(log.size(), pushed.size());
+  EXPECT_GT(log.bytes(), 3u * 16u * 1024u);  // the runs span at least four chunks
   std::size_t i = 0;
   for (const pipeline::StageReport& r : log) {
     ASSERT_LT(i, pushed.size());
@@ -428,10 +472,21 @@ TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
   // their first sample created, each keyed by its own node.
   std::set<std::string> keys;
   const std::string json = obsy->series().to_json();
-  const std::regex key_re(R"re("metric": "([^"]+)", "entity": "([^"]+)", "tier": "([^"]+)")re");
-  for (auto it = std::sregex_iterator(json.begin(), json.end(), key_re);
-       it != std::sregex_iterator(); ++it) {
-    keys.insert((*it)[1].str() + "/" + (*it)[2].str() + "/" + (*it)[3].str());
+  // Each series object opens with its key:
+  // "metric": "<metric>", "entity": "<entity>", "tier": "<tier>".
+  const std::string fields[] = {"\"metric\": \"", "\", \"entity\": \"", "\", \"tier\": \""};
+  for (std::size_t pos = json.find(fields[0]); pos != std::string::npos;
+       pos = json.find(fields[0], pos)) {
+    std::string key;
+    for (const std::string& field : fields) {
+      ASSERT_EQ(json.compare(pos, field.size(), field), 0) << json.substr(pos, 40);
+      pos += field.size();
+      const std::size_t end = json.find('"', pos);
+      ASSERT_NE(end, std::string::npos);
+      key += (key.empty() ? "" : "/") + json.substr(pos, end - pos);
+      pos = end;
+    }
+    keys.insert(key);
   }
   EXPECT_EQ(keys, (std::set<std::string>{
                       "flush.rows/fleet/device", "buffer.rows/edge0/edge",
@@ -1140,6 +1195,27 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
   ASSERT_FALSE(pinned.str().empty())
       << "missing golden file; regenerate with IOTML_UPDATE_GOLDEN=1";
   EXPECT_EQ(table.str(), pinned.str());
+}
+
+// The three run logs keep varint records. Exact byte counts, not RSS, pin
+// what a record costs on every grid fleet that records journeys: a journey
+// hop with its parents, a popped event and a stage run.
+TEST(FleetDigest, LogsStayWithinTheirByteBudgets) {
+  std::size_t fleets = 0;
+  for (const GridCase& gc : digest_grid()) {
+    if (!gc.config.observatory.enabled) continue;
+    ++fleets;
+    FleetSim sim(gc.config);
+    const FleetReport report = sim.run();
+    const obs::JourneyLog& journeys = sim.observatory()->journeys();
+    ASSERT_GT(journeys.size(), 0u) << gc.name;
+    ASSERT_GT(report.events, 0u) << gc.name;
+    ASSERT_GT(report.stage_reports.size(), 0u) << gc.name;
+    EXPECT_LE(journeys.bytes(), 30 * journeys.size()) << gc.name;
+    EXPECT_LE(sim.event_log_bytes(), 16 * report.events) << gc.name;
+    EXPECT_LE(report.stage_reports.bytes(), 30 * report.stage_reports.size()) << gc.name;
+  }
+  EXPECT_GT(fleets, 0u);
 }
 
 // The registry's OTA counters are named after the OtaSummary fields they
