@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace iotml::net {
@@ -54,8 +53,6 @@ ChannelOutcome Channel::send(double now_s, std::size_t bytes, Rng& rng) {
   if (params_.mode == ChannelMode::kAckRetry &&
       completion_s_.size() >= params_.queue_capacity) {
     ++stats_.dead_letters;
-    static obs::Counter& dead_letters = obs::registry().counter("net.channel.dead_letters");
-    dead_letters.add();
     return {};
   }
   ++stats_.sends;
@@ -102,9 +99,6 @@ ChannelOutcome Channel::send_fire_and_forget(double now_s, std::size_t bytes, Rn
         ++stats_.delivered;
       } else {
         ++stats_.corrupt_rejected;
-        static obs::Counter& corrupt_rejected =
-            obs::registry().counter("net.channel.corrupt_rejected");
-        corrupt_rejected.add();
       }
       draw_straggler(outcome, wire.arrival_s, rng);
       return outcome;
@@ -124,8 +118,6 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     // The radio cannot even open the wire: an immediate timeout, so the
     // caller can store-and-forward instead of pretending the send happened.
     ++stats_.timeouts;
-    static obs::Counter& timeouts = obs::registry().counter("net.channel.timeouts");
-    timeouts.add();
     link_->record_drop();
     return outcome;
   }
@@ -138,8 +130,6 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     if (attempt > 1) {
       ++stats_.retransmits;
       link_->record_retransmit();
-      static obs::Counter& retransmits = obs::registry().counter("net.channel.retransmits");
-      retransmits.add();
     }
     const Attempt wire = link_->try_transmit(start_s, bytes, rng);
     bool acked = false;
@@ -157,22 +147,15 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
       if (!rng.bernoulli(lp.drop_prob)) {
         acked = true;
         ++stats_.acks;
-        static obs::Counter& acks = obs::registry().counter("net.channel.acks");
-        acks.add();
       }
     } else if (wire.delivered && wire.corrupted) {
       // Receiver recomputes the payload checksum, rejects the frame and
       // stays silent — the sender sees a timeout and retransmits, so ack
       // mode *repairs* corruption instead of merely detecting it.
       ++stats_.corrupt_rejected;
-      static obs::Counter& corrupt_rejected =
-          obs::registry().counter("net.channel.corrupt_rejected");
-      corrupt_rejected.add();
     }
     if (acked) break;
     ++stats_.timeouts;
-    static obs::Counter& timeouts = obs::registry().counter("net.channel.timeouts");
-    timeouts.add();
     if (attempt < params_.max_attempts) {
       // Capped exponential backoff with deterministic seeded jitter on top.
       const double wait_s =
@@ -180,8 +163,6 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
           (1.0 + rng.uniform(0.0, kBackoffJitter));
       ++stats_.backoff_waits;
       stats_.backoff_wait_s += wait_s;
-      static obs::Counter& backoff_waits = obs::registry().counter("net.channel.backoff_waits");
-      backoff_waits.add();
       start_s = wire.done_s + params_.ack_timeout_s + wait_s;
     }
   }

@@ -25,8 +25,8 @@ struct ChannelParams {
   std::size_t queue_capacity = 64;   ///< bounded in-flight sends (backpressure)
 };
 
-/// Channel counters, aggregated into FleetReport::channels and mirrored as
-/// net.channel.* obs counters.
+/// Channel counters, aggregated into FleetReport::channels; a fleet run
+/// publishes them as net.channel.* obs counters (sim::publish_counters).
 struct ChannelStats {
   std::uint64_t sends = 0;            ///< payloads accepted onto the queue
   std::uint64_t delivered = 0;        ///< payloads that reached the receiver
@@ -94,8 +94,7 @@ class Channel {
   std::uint64_t dead_letters() const noexcept { return stats_.dead_letters; }
 
   /// Move `bytes` across the link at `now_s`. Deterministic given the Rng
-  /// state; updates channel stats, the link's stats and net.channel.*
-  /// counters.
+  /// state; updates the channel's stats and the link's.
   ChannelOutcome send(double now_s, std::size_t bytes, Rng& rng);
 
  private:

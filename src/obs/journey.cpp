@@ -53,12 +53,12 @@ JourneyLog::JourneyLog(std::size_t capacity) : capacity_(capacity) {
   IOTML_CHECK(capacity_ >= 1, "JourneyLog: capacity must be at least 1");
 }
 
-void JourneyLog::record(const HopRecord& r) {
+void JourneyLog::record(const HopRecord& r, std::span<const std::uint64_t> parents) {
   constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
   IOTML_CHECK(r.src <= kMax && r.dst <= kMax, "JourneyLog::record: node id exceeds 32 bits");
   IOTML_CHECK(r.rows <= kMax && r.bytes <= kMax,
               "JourneyLog::record: rows or bytes exceed 32 bits");
-  IOTML_CHECK(r.parents.size() <= kMax, "JourneyLog::record: parent count exceeds 32 bits");
+  IOTML_CHECK(parents.size() <= kMax, "JourneyLog::record: parent count exceeds 32 bits");
   const std::lock_guard<std::mutex> lock(mu_);
   if (hops_.size() >= capacity_) {
     ++dropped_;
@@ -83,11 +83,11 @@ void JourneyLog::record(const HopRecord& r) {
     out.varint_u64(r.rows);
     out.varint_u64(r.bytes);
     out.varint_u64(r.attempts);
-    out.varint_u64(r.parents.size());
+    out.varint_u64(parents.size());
     out.f64(r.t0_s);
     if (t1_mode == kT1Stored) out.f64(r.t1_s);
     std::uint64_t previous = r.trace;
-    for (const std::uint64_t parent : r.parents) {
+    for (const std::uint64_t parent : parents) {
       out.varint_i64(static_cast<std::int64_t>(parent - previous));
       previous = parent;
     }

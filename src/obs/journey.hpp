@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,12 +69,16 @@ class JourneyLog {
  public:
   explicit JourneyLog(std::size_t capacity);
 
-  /// Appends `r`, or counts it as dropped once the log holds `capacity`
-  /// records. Allocates only to start a chunk, to grow the one reused
-  /// encode buffer or to list a new outcome pointer. Throws
-  /// InvalidArgument, storing nothing, if r.src, r.dst, r.rows, r.bytes or
-  /// the number of r.parents exceeds 2^32 - 1.
-  void record(const HopRecord& r);
+  /// Appends `r` with `parents` in place of r.parents, or counts it as
+  /// dropped once the log holds `capacity` records. Allocates only to start
+  /// a chunk, to grow the one reused encode buffer or to list a new outcome
+  /// pointer, so a caller whose parent ids sit in a buffer of its own copies
+  /// none. Throws InvalidArgument, storing nothing, if r.src, r.dst, r.rows,
+  /// r.bytes or the number of parents exceeds 2^32 - 1.
+  void record(const HopRecord& r, std::span<const std::uint64_t> parents);
+
+  /// record(r, r.parents).
+  void record(const HopRecord& r) { record(r, r.parents); }
 
   std::size_t size() const;
   std::uint64_t dropped() const;

@@ -17,7 +17,8 @@
 #include "learners/decision_tree.hpp"
 #include "learners/logistic.hpp"
 #include "learners/naive_bayes.hpp"
-#include "obs/obs.hpp"
+#include "obs/clock.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
@@ -207,6 +208,12 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
   IOTML_CHECK(config.checkpoint_interval_s >= 0.0 && std::isfinite(config.checkpoint_interval_s),
               "FleetSim: checkpoint interval must be finite and non-negative");
+  // A storm chains flushes device_flush_s / load_storm_factor apart; a step
+  // that vanishes beside some time of the run would repeat that time forever.
+  IOTML_CHECK(config.chaos.load_storms <= 0.0 ||
+                  config.device_flush_s / config.chaos.load_storm_factor >
+                      config.duration_s * std::numeric_limits<double>::epsilon(),
+              "FleetSim: load storm flush step too small to move the clock");
   if (config.deploy.enabled) {
     IOTML_CHECK(config.deploy.score_window_s > 0.0,
                 "FleetSim: deploy score window must be positive");
@@ -269,7 +276,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   // so the Link references the channels capture stay stable.
   channels_.reserve(topo_.num_links());
   core_link_.assign(topo_.num_links(), 0);
-  link_bytes_.assign(topo_.num_links(), nullptr);
   base_drop_prob_.reserve(topo_.num_links());
   base_corrupt_prob_.reserve(topo_.num_links());
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
@@ -503,6 +509,7 @@ FleetReport FleetSim::run() {
       if (deg_out) deg_out << degradation_to_json(report_.degradation);
     }
   }
+  publish_counters(report_);
   return std::move(report_);
 }
 
@@ -512,8 +519,6 @@ void FleetSim::handle(const Event& event) {
     span.arg("t_s", event.time_s);
     span.arg("target", static_cast<std::uint64_t>(event.target));
   }
-  static obs::Counter& events = obs::registry().counter("sim.events");
-  events.add();
   switch (event.kind) {
     case EventKind::kDeviceFlush:
       handle_device_flush(event);
@@ -527,7 +532,6 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kLinkDown:
       topo_.link(event.target).set_up(false);
-      obs::registry().counter("sim.faults.link_down").add();
       break;
     case EventKind::kLinkUp:
       // A partition owns the edge<->core links while active; an overlapping
@@ -538,7 +542,6 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kDeviceDown:
       topo_.node(event.target).up = false;
-      obs::registry().counter("sim.faults.device_down").add();
       break;
     case EventKind::kDeviceUp:
       topo_.node(event.target).up = true;
@@ -567,7 +570,6 @@ void FleetSim::handle(const Event& event) {
       if (topo_.node(topo_.core()).up) {
         topo_.node(topo_.core()).up = false;
         ++report_.faults.core_crashes;
-        obs::registry().counter("sim.faults.core_crash").add();
         flight_dump(topo_.core(), "core-crash", event.time_s);
       }
       break;
@@ -746,7 +748,6 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
     // unreachable and holds the batch for the next flush instead of burning
     // retransmits into a dead wire. Fire-and-forget edges cannot know and
     // transmit anyway (the frame dies at the dead receiver).
-    obs::registry().counter("sim.recovery.edge_holds").add();
     return;
   }
 
@@ -868,7 +869,6 @@ int FleetSim::degrade_update(std::size_t edge_index, double now_s,
     } else {
       ++d.transitions_down;
     }
-    obs::registry().counter("sim.degrade.transitions").add();
     const net::NodeId e = topo_.edge(edge_index);
     if (obsy_) {
       obsy_->flight().note(e, now_s, "degrade-level",
@@ -1120,7 +1120,6 @@ void FleetSim::set_load_storm(bool on, double now_s) {
   if (!on) return;
   ++report_.faults.load_storms;
   ++storm_epoch_;
-  obs::registry().counter("sim.chaos.load_storms").add();
   // Compress every device's flush schedule: one storm-paced extra flush
   // chain per device. The chain carries the storm epoch, so flushes queued
   // by an already-ended storm die instead of reviving under a newer one.
@@ -1308,19 +1307,9 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
         channels_[link_index].stats().retransmits - tdf_pre_retrans;
   }
   ++report_.messages_sent;
-  static obs::Counter& messages = obs::registry().counter("sim.net.messages");
-  static obs::Counter& wire_bytes = obs::registry().counter("sim.net.bytes");
-  messages.add();
-  wire_bytes.add(bytes);
-  obs::Counter*& link_bytes = link_bytes_[link_index];
-  if (link_bytes == nullptr) {
-    link_bytes = &obs::registry().counter("net.link." + topo_.link(link_index).name() + ".bytes");
-  }
-  link_bytes->add(bytes);
   if (!out.accepted) {
     // Backpressure: the bounded send queue refused the message.
     ++report_.messages_dropped;
-    obs::registry().counter("sim.net.dropped").add();
     flight_dump(from, "dead-letter", now_s);
     if (degrade_on()) {
       ++degrade_dead_letters_[(from_device ? to : from) - config_.devices];
@@ -1346,7 +1335,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   }
   if (!out.delivered && !out.corrupted) {
     ++report_.messages_dropped;
-    obs::registry().counter("sim.net.dropped").add();
     if (ack) {
       keep_rows(false);
     } else {
@@ -1405,7 +1393,6 @@ void FleetSim::land_row_frame(const Event& event) {
   const net::Message& msg = entry.frame;
   if (entry.landed) {
     ++report_.duplicates_discarded;
-    obs::registry().counter("sim.net.duplicates_discarded").add();
     journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, event.target,
                    event.time_s, msg.payload.rows(), "duplicate");
   } else if (event.kind == EventKind::kArrival) {
@@ -1428,7 +1415,6 @@ void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
     // The receiver crashed while the frame was in flight: nobody is
     // listening, and the rows die with the dead node.
     report_.faults.rows_lost_to_crash += msg.payload.rows();
-    obs::registry().counter("sim.faults.rows_lost_to_crash").add(msg.payload.rows());
     journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
                    event.time_s, msg.payload.rows(), "dead_receiver");
     return;
@@ -1496,7 +1482,6 @@ void FleetSim::handle_corrupt_arrival(const Event& event, const net::Message& ms
     ++report_.telemetry.frames_rejected;
   }
   report_.faults.rows_corrupt_rejected += msg.payload.rows();
-  obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
   journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
                  event.time_s, msg.payload.rows(), "corrupt_rejected");
   if (obsy_) {
@@ -1509,7 +1494,6 @@ void FleetSim::handle_checkpoint(std::size_t edge_index) {
   const Buffer& buf = edge_buffers_[edge_index];
   edge_checkpoints_[edge_index] = buf;
   ++report_.faults.checkpoints_written;
-  obs::registry().counter("sim.recovery.checkpoints_written").add();
   if (obsy_) {
     obsy_->flight().note(topo_.edge(edge_index), sched_.now_s(), "checkpoint",
                          buf.rows.rows());
@@ -1521,7 +1505,6 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   if (!n.up) return;  // already down (overlapping crash windows)
   n.up = false;
   ++report_.faults.edge_crashes;
-  obs::registry().counter("sim.faults.edge_crash").add();
   // The black box survives the crash: dump the edge's recent events into
   // the fault ledger before its volatile state is wiped.
   flight_dump(topo_.edge(edge_index), "edge-crash", sched_.now_s());
@@ -1531,7 +1514,6 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   const std::size_t persisted =
       std::min(edge_checkpoints_[edge_index].rows.rows(), buf.rows.rows());
   report_.faults.rows_lost_to_crash += buf.rows.rows() - persisted;
-  obs::registry().counter("sim.faults.rows_lost_to_crash").add(buf.rows.rows() - persisted);
   buf = Buffer{};
 }
 
@@ -1547,8 +1529,6 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   buf = ckpt;
   ++report_.faults.checkpoints_restored;
   report_.faults.rows_recovered += ckpt.rows.rows();
-  obs::registry().counter("sim.recovery.checkpoints_restored").add();
-  obs::registry().counter("sim.recovery.rows_recovered").add(ckpt.rows.rows());
 }
 
 void FleetSim::set_partition(bool on) {
@@ -1556,7 +1536,6 @@ void FleetSim::set_partition(bool on) {
   partitioned_ = on;
   if (on) {
     ++report_.faults.partitions;
-    obs::registry().counter("sim.chaos.partitions").add();
     // The core just lost its edges: its recent traffic is the context an
     // operator wants first.
     flight_dump(topo_.core(), "partition", sched_.now_s());
@@ -1570,10 +1549,7 @@ void FleetSim::set_partition(bool on) {
 }
 
 void FleetSim::set_loss_burst(bool on) {
-  if (on) {
-    ++report_.faults.loss_bursts;
-    obs::registry().counter("sim.chaos.loss_bursts").add();
-  }
+  if (on) ++report_.faults.loss_bursts;
   // The burst hits the device radio tier: every link that is not an
   // edge<->core trunk (device uplinks, and edge->device downlinks if the
   // broadcast direction exists).
@@ -1586,10 +1562,7 @@ void FleetSim::set_loss_burst(bool on) {
 }
 
 void FleetSim::set_corruption_storm(bool on) {
-  if (on) {
-    ++report_.faults.corruption_storms;
-    obs::registry().counter("sim.chaos.corruption_storms").add();
-  }
+  if (on) ++report_.faults.corruption_storms;
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
     if (core_link_[l] == 0) {
       topo_.link(l).set_corrupt_prob(on ? config_.chaos.storm_corrupt_prob
@@ -1642,7 +1615,6 @@ void FleetSim::store(net::NodeId device, Buffer&& chunk) {
       report_.telemetry.log_rows_evicted += rows;
     }
     report_.faults.rows_buffer_evicted += rows;
-    obs::registry().counter("sim.recovery.rows_evicted").add(rows);
     backlog.chunks.pop_front();
   };
   // A chunk is the unit of the backlog (a flash ring cannot ship half a
@@ -1688,8 +1660,7 @@ void FleetSim::journey_send(const Frame& frame, double t0_s, double t1_s,
   r.bytes = frame.bytes;
   r.attempts = static_cast<std::uint32_t>(attempts);
   r.outcome = outcome;
-  r.parents.assign(frame.parents.begin(), frame.parents.end());
-  obsy_->journeys().record(r);
+  obsy_->journeys().record(r, frame.parents);
 }
 
 void FleetSim::journey_arrive(std::uint64_t trace, obs::HopStream stream,
@@ -1921,13 +1892,9 @@ void FleetSim::run_deploy_phase() {
 }
 
 void FleetSim::handle_deploy_broadcast(const Event& event) {
-  if (!topo_.node(topo_.core()).up) {
-    // The core is down at broadcast time: no fresh artifact leaves it, and
-    // the whole fleet serves the prior epoch's model (stale fallback).
-    obs::registry().counter("deploy.broadcasts_skipped").add();
-    return;
-  }
-  obs::registry().counter("deploy.broadcasts").add();
+  // The core is down at broadcast time: no fresh artifact leaves it, and
+  // the whole fleet serves the prior epoch's model (stale fallback).
+  if (!topo_.node(topo_.core()).up) return;
   // The broadcast's root trace id: every downlink frame of this epoch lists
   // it as parent, so fleetscope can reconstruct the artifact's journey.
   broadcast_trace_ = next_trace_++;
@@ -1944,30 +1911,23 @@ void FleetSim::handle_deploy_broadcast(const Event& event) {
 
 void FleetSim::send_artifact(net::NodeId to, double now_s) {
   // The sender's radio spends the bytes whether or not the wire delivers.
+  // A corrupt artifact frame fails its checksum at the receiver, which
+  // keeps its prior model rather than binding corrupt parameters.
   report_.deploy.downlink_bytes += artifact_wire_bytes_;
-  obs::registry().counter("deploy.artifact_sends").add();
-  obs::registry().counter("deploy.downlink_bytes").add(artifact_wire_bytes_);
-  const net::ChannelOutcome out =
-      send_frame({.stream = obs::HopStream::kArtifact,
-                  .hop = to >= config_.devices ? 0U : 1U,  // core->edge, then edge->device
-                  .src = topo_.next_hop(to),
-                  .dst = to,
-                  .bytes = artifact_wire_bytes_,
-                  .parents = {&broadcast_trace_, 1},
-                  .arrival = EventKind::kArtifactArrival},
-                 now_s);
-  if (out.corrupted) {
-    // The artifact frame fails its checksum at the receiver, which keeps
-    // its prior model rather than binding corrupt parameters.
-    obs::registry().counter("deploy.artifact_corrupt_rejected").add();
-  }
+  send_frame({.stream = obs::HopStream::kArtifact,
+              .hop = to >= config_.devices ? 0U : 1U,  // core->edge, then edge->device
+              .src = topo_.next_hop(to),
+              .dst = to,
+              .bytes = artifact_wire_bytes_,
+              .parents = {&broadcast_trace_, 1},
+              .arrival = EventKind::kArtifactArrival},
+             now_s);
 }
 
 void FleetSim::handle_artifact_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const std::uint32_t hop = node >= config_.devices ? 0 : 1;
   if (artifact_seen_[node] != 0) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
     journey_arrive(broadcast_trace_, obs::HopStream::kArtifact, hop, node,
                    event.time_s, 0, "duplicate");
     return;
@@ -1988,7 +1948,6 @@ void FleetSim::handle_artifact_arrival(const Event& event) {
       // L3 summary-only: the edge sheds artifact relays along with rows; its
       // devices keep serving the stale fallback (or land in devices_missed).
       ++report_.degradation.artifact_relays_skipped;
-      obs::registry().counter("sim.degrade.artifact_relays_skipped").add();
       return;
     }
     for (std::size_t i = 0; i < config_.devices; ++i) {
@@ -2008,11 +1967,9 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   deploy::DeviceRuntime& runtime = *slot;
   if (stale) {
     ++d.devices_stale;
-    obs::registry().counter("sim.recovery.stale_model_serves").add();
   } else {
     ++d.devices_deployed;
     device_scored_[device] = 1;
-    obs::registry().counter("deploy.devices_deployed").add();
   }
 
   const data::Dataset& all = device_data_[device];
@@ -2028,13 +1985,7 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
     const int pred = runtime.predict_row(all, r);
     if (pred == truth_label(all.column(0).numeric(r))) ++batch.correct;
   }
-  if (stale) {
-    d.rows_scored_stale += count;
-    obs::registry().counter("sim.recovery.rows_scored_stale").add(count);
-  } else {
-    d.rows_scored += count;
-    obs::registry().counter("deploy.rows_scored").add(count);
-  }
+  (stale ? d.rows_scored_stale : d.rows_scored) += count;
 
   // Counterfactual: what uplinking these raw rows (the pre-deployment
   // regime) would have cost. The payload crosses both hops; edge batching
@@ -2063,23 +2014,18 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
 void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_s) {
   const std::size_t bytes = pred_batches_[batch].wire_bytes;
   report_.deploy.uplink_prediction_bytes += bytes;
-  obs::registry().counter("deploy.prediction_bytes").add(bytes);
-  const net::ChannelOutcome out =
-      send_frame({.stream = obs::HopStream::kPredictions,
-                  .hop = from < config_.devices ? 0U : 1U,
-                  .src = from,
-                  .dst = topo_.next_hop(from),
-                  .bytes = bytes,
-                  .rows = pred_batches_[batch].rows,
-                  .parents = {&pred_batches_[batch].trace, 1},
-                  .arrival = EventKind::kPredictionArrival,
-                  .message = batch},
-                 now_s);
-  if (out.corrupted) {
-    // A corrupt prediction batch is rejected at the receiver; predictions
-    // are best-effort telemetry and are not retried in fire-and-forget mode.
-    obs::registry().counter("deploy.prediction_corrupt_rejected").add();
-  }
+  // A corrupt prediction batch is rejected at the receiver; predictions are
+  // best-effort telemetry and are not retried in fire-and-forget mode.
+  send_frame({.stream = obs::HopStream::kPredictions,
+              .hop = from < config_.devices ? 0U : 1U,
+              .src = from,
+              .dst = topo_.next_hop(from),
+              .bytes = bytes,
+              .rows = pred_batches_[batch].rows,
+              .parents = {&pred_batches_[batch].trace, 1},
+              .arrival = EventKind::kPredictionArrival,
+              .message = batch},
+             now_s);
 }
 
 void FleetSim::handle_prediction_arrival(const Event& event) {
@@ -2087,7 +2033,6 @@ void FleetSim::handle_prediction_arrival(const Event& event) {
   const std::uint32_t hop = node == topo_.core() ? 1 : 0;
   const PredBatch& batch = pred_batches_[event.message];
   if (!pred_seen_[node].insert(event.message).second) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
     journey_arrive(batch.trace, obs::HopStream::kPredictions, hop, node, event.time_s,
                    batch.rows, "duplicate");
     return;
@@ -2095,7 +2040,6 @@ void FleetSim::handle_prediction_arrival(const Event& event) {
   if (node == topo_.core()) {
     report_.deploy.predictions_delivered += batch.rows;
     report_.deploy.predictions_correct += batch.correct;
-    obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
     journey_arrive(batch.trace, obs::HopStream::kPredictions, hop, node, event.time_s,
                    batch.rows, "accepted");
     if (obsy_) {
@@ -2294,7 +2238,6 @@ void FleetSim::start_ota_transfer(std::size_t device_index,
   if (ro.has_delta && t.full) {
     ++ota.full_fallbacks;
     ++ota.epochs_log[ro.entry].full_fallbacks;
-    obs::registry().counter("ota.full_fallbacks").add();
   }
 
   const std::size_t idx = ota_transfers_.size();
@@ -2336,8 +2279,6 @@ void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
   // run total and the per-epoch ledger count every hop transmission.
   ota.delta_downlink_bytes += bytes;
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-  obs::registry().counter("ota.chunk_sends").add();
-  obs::registry().counter("ota.downlink_bytes").add(bytes);
 
   const net::ChannelOutcome out =
       send_frame({.stream = obs::HopStream::kPatch,
@@ -2349,12 +2290,9 @@ void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
                   .arrival = EventKind::kOtaChunkArrival,
                   .message = record},
                  now_s);
-  if (out.corrupted) {
-    // The chunk fails its FNV check at the receiver and is discarded; the
-    // resume round re-requests it.
-    ++ota.chunks_corrupt_rejected;
-    obs::registry().counter("ota.chunk_corrupt_rejected").add();
-  }
+  // A corrupt chunk fails its FNV check at the receiver and is discarded;
+  // the resume round re-requests it.
+  if (out.corrupted) ++ota.chunks_corrupt_rejected;
 }
 
 void FleetSim::handle_ota_chunk_arrival(const Event& event) {
@@ -2441,7 +2379,6 @@ void FleetSim::ota_commit_device(std::size_t transfer_index, double now_s) {
   store.commit(ro.version_id, std::move(image), patch.target_checksum);
   ++ota.epochs_log[ro.entry].devices_updated;
   ota.last_commit_t_s = std::max(ota.last_commit_t_s, now_s);
-  obs::registry().counter("ota.commits").add();
   if (obsy_) {
     obsy_->flight().note(topo_.device(t.device), now_s, "ota-commit",
                          ro.version_id, t.full ? 1 : 0);
@@ -2481,7 +2418,6 @@ void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
   const std::size_t bytes = net::kMessageHeaderBytes + 20;
   OtaSummary& ota = report_.deploy.ota;
   ota.probe_uplink_bytes += bytes;
-  obs::registry().counter("ota.probe_uplink_bytes").add(bytes);
 
   // A lost probe is tolerated, not retried: the verdict pools whatever
   // reports made it.
@@ -2538,7 +2474,6 @@ void FleetSim::handle_ota_resume(const Event& event) {
   if (t.resume_rounds < kMaxResumeRounds) {
     ++t.resume_rounds;
     ++ota.resume_rounds;
-    obs::registry().counter("ota.resume_rounds").add();
     send_ota_chunks(idx, want, event.time_s);
   } else if (!t.full) {
     // Delta rounds exhausted: fall back to the full image. The applier
@@ -2550,7 +2485,6 @@ void FleetSim::handle_ota_resume(const Event& event) {
     t.applier.reset();
     ++ota.full_fallbacks;
     ++entry.full_fallbacks;
-    obs::registry().counter("ota.full_fallbacks").add();
     std::vector<std::size_t> all(ro.full.num_chunks());
     std::iota(all.begin(), all.end(), std::size_t{0});
     send_ota_chunks(idx, all, event.time_s);
@@ -2567,7 +2501,6 @@ void FleetSim::handle_ota_resume(const Event& event) {
     t.stuck = true;
     t.done = true;
     ++entry.devices_stuck;
-    obs::registry().counter("ota.devices_stuck").add();
     if (obsy_) {
       obsy_->flight().note(topo_.device(t.device), event.time_s, "ota-stuck",
                            ro.version_id);
@@ -2622,7 +2555,6 @@ void FleetSim::handle_ota_verdict(const Event& event) {
                                            : ro.full.patch_bytes().size(),
                                        "ota patch bytes"));
     ota_head_image_ = ro.image;
-    obs::registry().counter("ota.promotions").add();
     if (obsy_) {
       obsy_->flight().note(topo_.core(), event.time_s, "ota-promote",
                            ro.version_id, verdict.pooled_rows);
@@ -2641,7 +2573,6 @@ void FleetSim::handle_ota_verdict(const Event& event) {
 
   entry.outcome = "rollback";
   ++ota.rollbacks;
-  obs::registry().counter("ota.rollbacks").add();
   if (obsy_) {
     obsy_->flight().note(topo_.core(), event.time_s, "ota-rollback",
                          ro.version_id, verdict.pooled_rows);
@@ -2667,7 +2598,6 @@ void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
   OtaSummary& ota = report_.deploy.ota;
   ota.delta_downlink_bytes += bytes;
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-  obs::registry().counter("ota.downlink_bytes").add(bytes);
 
   // A lost rollback command is visible, not fatal: the device stays on the
   // rolled-back version and the end-of-run histogram exposes it.
@@ -2697,7 +2627,6 @@ void FleetSim::handle_ota_control_arrival(const Event& event) {
   if (store.current_id() != ro.version_id || !store.has_previous()) return;
   store.rollback();
   ++report_.deploy.ota.epochs_log[ro.entry].devices_rolled_back;
-  obs::registry().counter("ota.device_rollbacks").add();
   if (obsy_) {
     obsy_->flight().note(node, event.time_s, "ota-revert", ro.version_id,
                          store.current_id());

@@ -230,7 +230,8 @@ class FleetSim {
  public:
   /// Uses default_fleet_pipeline(config).
   /// Throws InvalidArgument on nonsensical config (no devices, more edges
-  /// than devices, non-positive durations or intervals).
+  /// than devices, non-positive durations or intervals, a load-storm flush
+  /// step too small to move the clock).
   explicit FleetSim(FleetConfig config);
 
   /// Host a custom pipeline instead; its stages are placed by tier.
@@ -238,7 +239,8 @@ class FleetSim {
 
   /// Run the simulation to completion. One-shot: throws InvalidArgument on
   /// a second call (build a fresh FleetSim to re-run), and moves the
-  /// report out rather than copying it.
+  /// report out rather than copying it. Just before returning, it adds the
+  /// report's totals to the obs registry (publish_counters).
   FleetReport run();
 
   /// One line per processed event (see Scheduler::log), rendered from the
@@ -325,7 +327,7 @@ class FleetSim {
   /// Every frame any node sends crosses its link here: the channel send,
   /// the frame's trace id, its send-hop journey record under the one
   /// labelling rule, and the arrival (and straggler-copy) events of
-  /// whatever lands. The caller keeps its own ledgers and counters.
+  /// whatever lands. The caller keeps its own ledgers.
   net::ChannelOutcome send_frame(Frame frame, double now_s);
 
   // Fault-tolerance machinery (see DESIGN.md §11).
@@ -500,8 +502,6 @@ class FleetSim {
   /// the core's (index node - devices). Empty when obsy_ is.
   std::vector<std::array<obs::Sampler*, kNodeSeries>> node_series_;
   obs::Sampler* flush_rows_series_ = nullptr;  ///< fleet-wide flush.rows
-  /// Each link's net.link.<name>.bytes counter, looked up on its first send.
-  std::vector<obs::Counter*> link_bytes_;
 
   std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
   std::vector<Backlog> backlogs_;         ///< per device

@@ -1,8 +1,10 @@
 #include "sim/report.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 
 namespace iotml::sim {
 
@@ -397,6 +399,76 @@ std::string FleetReport::to_json() const {
   }
   out << "\n}\n";
   return out.str();
+}
+
+void publish_counters(const FleetReport& report) {
+  obs::Registry& registry = obs::registry();
+  auto publish = [&registry](const std::string& name, std::uint64_t total) {
+    if (total > 0) registry.counter(name).add(total);
+  };
+  std::uint64_t wire_bytes = 0;
+  for (const LinkReport& link : report.links) {
+    publish("net.link." + link.name + ".bytes", link.stats.bytes);
+    wire_bytes += link.stats.bytes;
+  }
+  const FaultLedger& f = report.faults;
+  const DeploySummary& d = report.deploy;
+  const OtaSummary& ota = d.ota;
+  const net::ChannelStats& ch = report.channels;
+  std::uint64_t commits = 0;
+  std::uint64_t stuck = 0;
+  std::uint64_t device_rollbacks = 0;
+  for (const OtaEpochEntry& e : ota.epochs_log) {
+    commits += e.devices_updated;
+    stuck += e.devices_stuck;
+    device_rollbacks += e.devices_rolled_back;
+  }
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"sim.events", report.events},
+      {"sim.net.messages", report.messages_sent},
+      {"sim.net.dropped", report.messages_dropped},
+      {"sim.net.duplicates_discarded", report.duplicates_discarded},
+      {"sim.net.rows_corrupt_rejected", f.rows_corrupt_rejected},
+      {"sim.net.bytes", wire_bytes},
+      {"sim.faults.edge_crash", f.edge_crashes},
+      {"sim.faults.core_crash", f.core_crashes},
+      {"sim.faults.rows_lost_to_crash", f.rows_lost_to_crash},
+      {"sim.chaos.partitions", f.partitions},
+      {"sim.chaos.loss_bursts", f.loss_bursts},
+      {"sim.chaos.corruption_storms", f.corruption_storms},
+      {"sim.chaos.load_storms", f.load_storms},
+      {"sim.recovery.checkpoints_written", f.checkpoints_written},
+      {"sim.recovery.checkpoints_restored", f.checkpoints_restored},
+      {"sim.recovery.rows_recovered", f.rows_recovered},
+      {"sim.recovery.rows_evicted", f.rows_buffer_evicted},
+      {"sim.recovery.rows_scored_stale", d.rows_scored_stale},
+      {"sim.recovery.stale_model_serves", d.devices_stale},
+      {"sim.degrade.transitions",
+       report.degradation.transitions_up + report.degradation.transitions_down},
+      {"sim.degrade.artifact_relays_skipped", report.degradation.artifact_relays_skipped},
+      {"deploy.devices_deployed", d.devices_deployed},
+      {"deploy.downlink_bytes", d.downlink_bytes},
+      {"deploy.rows_scored", d.rows_scored},
+      {"deploy.predictions_delivered", d.predictions_delivered},
+      {"deploy.prediction_bytes", d.uplink_prediction_bytes},
+      {"ota.full_fallbacks", ota.full_fallbacks},
+      {"ota.probe_uplink_bytes", ota.probe_uplink_bytes},
+      {"ota.resume_rounds", ota.resume_rounds},
+      {"ota.promotions", ota.promotions},
+      {"ota.rollbacks", ota.rollbacks},
+      {"ota.downlink_bytes", ota.delta_downlink_bytes},
+      {"ota.chunk_sends", ota.chunks_sent},
+      {"ota.chunk_corrupt_rejected", ota.chunks_corrupt_rejected},
+      {"ota.commits", commits},
+      {"ota.devices_stuck", stuck},
+      {"ota.device_rollbacks", device_rollbacks},
+      {"net.channel.acks", ch.acks},
+      {"net.channel.retransmits", ch.retransmits},
+      {"net.channel.timeouts", ch.timeouts},
+      {"net.channel.backoff_waits", ch.backoff_waits},
+      {"net.channel.corrupt_rejected", ch.corrupt_rejected},
+      {"net.channel.dead_letters", ch.dead_letters}};
+  for (const auto& [name, total] : totals) publish(name, total);
 }
 
 }  // namespace iotml::sim

@@ -467,4 +467,14 @@ struct FleetReport {
   std::string to_json() const;
 };
 
+/// The fleet's one door into the obs registry. FleetSim keeps every count
+/// in its FleetReport, and run() calls this once, just before it returns, to
+/// add each nonzero total to the process-global counter named after it (a
+/// total of 0 registers nothing): sim.*, one net.link.<name>.bytes per link
+/// (the bytes it delivered, every frame kind), deploy.*, ota.* and
+/// net.channel.*. The table in report.cpp names each counter's report
+/// source; a count with no report field has no counter (DESIGN.md §8 lists
+/// the nine names that retired with their per-event bumps).
+void publish_counters(const FleetReport& report);
+
 }  // namespace iotml::sim

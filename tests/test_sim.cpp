@@ -692,6 +692,18 @@ TEST(Fleet, Validation) {
   never_saved.checkpoint_interval_s = inf;
   expect_own_message(never_saved,
                      "FleetSim: checkpoint interval must be finite and non-negative");
+
+  // A load storm chains flushes device_flush_s / load_storm_factor apart; a
+  // step that vanishes beside the clock would never let run() return.
+  FleetConfig stormy = small_config();
+  stormy.devices = 4;
+  stormy.edges = 1;
+  stormy.duration_s = 10.0;
+  stormy.chaos.load_storms = 2.0;
+  for (const double factor : {1e300, inf}) {
+    stormy.chaos.load_storm_factor = factor;
+    expect_own_message(stormy, "FleetSim: load storm flush step too small to move the clock");
+  }
 }
 
 // A device whose three sensors drop every reading keeps an empty window and
@@ -718,9 +730,9 @@ TEST(Fleet, SilentDeviceGetsAnEmptyWindow) {
   EXPECT_GT(silent, 0u);
 }
 
-// send() charges each frame's bytes to sim.net.bytes and to the cached
-// counter of the link it crossed. On lossless links every frame is
-// delivered, so each link's counter also equals the bytes its stats count.
+// run() publishes each link's delivered bytes to its net.link.<name>.bytes
+// counter and their sum to sim.net.bytes, so on lossless links each counter
+// equals the bytes its link's stats count.
 TEST(Fleet, LinkByteCountersFollowTheirLink) {
   FleetConfig config = small_config();
   config.faults = {};
@@ -1218,50 +1230,110 @@ TEST(FleetDigest, LogsStayWithinTheirByteBudgets) {
   EXPECT_GT(fleets, 0u);
 }
 
-// The registry's OTA counters are named after the OtaSummary fields they
-// mirror, so a metrics dump must agree with the report on every OTA row:
-// run-wide counters with their field, per-transfer ones with the sum of
-// their per-epoch field.
-TEST(FleetDigest, OtaCountersMatchTheReport) {
+// Every counter run() publishes, with its report source spelled out here
+// rather than read from the publishing table, so a wrong row there fails:
+// each per-epoch OTA counter is the sum of its epochs_log field, and
+// sim.net.bytes the sum of the link byte counters.
+std::map<std::string, std::uint64_t> published_sources(const FleetReport& r) {
+  std::map<std::string, std::uint64_t> sources;
+  std::uint64_t wire_bytes = 0;
+  for (const LinkReport& link : r.links) {
+    sources["net.link." + link.name + ".bytes"] = link.stats.bytes;
+    wire_bytes += link.stats.bytes;
+  }
+  const OtaSummary& ota = r.deploy.ota;
+  std::uint64_t updated = 0;
+  std::uint64_t stuck = 0;
+  std::uint64_t rolled_back = 0;
+  for (const OtaEpochEntry& e : ota.epochs_log) {
+    updated += e.devices_updated;
+    stuck += e.devices_stuck;
+    rolled_back += e.devices_rolled_back;
+  }
+  sources.insert({{"sim.events", r.events},
+                  {"sim.net.messages", r.messages_sent},
+                  {"sim.net.dropped", r.messages_dropped},
+                  {"sim.net.duplicates_discarded", r.duplicates_discarded},
+                  {"sim.net.rows_corrupt_rejected", r.faults.rows_corrupt_rejected},
+                  {"sim.net.bytes", wire_bytes},
+                  {"sim.faults.edge_crash", r.faults.edge_crashes},
+                  {"sim.faults.core_crash", r.faults.core_crashes},
+                  {"sim.faults.rows_lost_to_crash", r.faults.rows_lost_to_crash},
+                  {"sim.chaos.partitions", r.faults.partitions},
+                  {"sim.chaos.loss_bursts", r.faults.loss_bursts},
+                  {"sim.chaos.corruption_storms", r.faults.corruption_storms},
+                  {"sim.chaos.load_storms", r.faults.load_storms},
+                  {"sim.recovery.checkpoints_written", r.faults.checkpoints_written},
+                  {"sim.recovery.checkpoints_restored", r.faults.checkpoints_restored},
+                  {"sim.recovery.rows_recovered", r.faults.rows_recovered},
+                  {"sim.recovery.rows_evicted", r.faults.rows_buffer_evicted},
+                  {"sim.recovery.rows_scored_stale", r.deploy.rows_scored_stale},
+                  {"sim.recovery.stale_model_serves", r.deploy.devices_stale},
+                  {"sim.degrade.transitions",
+                   r.degradation.transitions_up + r.degradation.transitions_down},
+                  {"sim.degrade.artifact_relays_skipped", r.degradation.artifact_relays_skipped},
+                  {"deploy.devices_deployed", r.deploy.devices_deployed},
+                  {"deploy.downlink_bytes", r.deploy.downlink_bytes},
+                  {"deploy.rows_scored", r.deploy.rows_scored},
+                  {"deploy.predictions_delivered", r.deploy.predictions_delivered},
+                  {"deploy.prediction_bytes", r.deploy.uplink_prediction_bytes},
+                  {"ota.full_fallbacks", ota.full_fallbacks},
+                  {"ota.probe_uplink_bytes", ota.probe_uplink_bytes},
+                  {"ota.resume_rounds", ota.resume_rounds},
+                  {"ota.promotions", ota.promotions},
+                  {"ota.rollbacks", ota.rollbacks},
+                  {"ota.downlink_bytes", ota.delta_downlink_bytes},
+                  {"ota.chunk_sends", ota.chunks_sent},
+                  {"ota.chunk_corrupt_rejected", ota.chunks_corrupt_rejected},
+                  {"ota.commits", updated},
+                  {"ota.devices_stuck", stuck},
+                  {"ota.device_rollbacks", rolled_back},
+                  {"net.channel.acks", r.channels.acks},
+                  {"net.channel.retransmits", r.channels.retransmits},
+                  {"net.channel.timeouts", r.channels.timeouts},
+                  {"net.channel.backoff_waits", r.channels.backoff_waits},
+                  {"net.channel.corrupt_rejected", r.channels.corrupt_rejected},
+                  {"net.channel.dead_letters", r.channels.dead_letters}});
+  return sources;
+}
+
+// run() publishes the report's totals to the registry once, so a metrics
+// dump must agree with the report on every grid fleet. One fleet beyond the
+// grid rejects storm-corrupted patch chunks, so every reachable source is
+// nonzero on some fleet and a counter published from the wrong field cannot
+// hide behind a zero.
+TEST(FleetDigest, CountersMatchTheReport) {
+  std::vector<std::pair<std::string, FleetConfig>> fleets;
+  for (const GridCase& gc : digest_grid()) fleets.emplace_back(gc.name, gc.config);
+  fleets.emplace_back("storm-ota", storm_ota_config());
   obs::Registry& registry = obs::registry();
-  std::size_t ota_rows = 0;
-  for (const GridCase& gc : digest_grid()) {
-    if (!gc.config.ota.enabled) continue;
-    ++ota_rows;
-    const char* const names[] = {"ota.full_fallbacks", "ota.downlink_bytes",
-                                 "ota.chunk_sends",    "ota.probe_uplink_bytes",
-                                 "ota.resume_rounds",  "ota.promotions",
-                                 "ota.rollbacks",      "ota.commits",
-                                 "ota.devices_stuck",  "ota.device_rollbacks"};
-    std::map<std::string, std::uint64_t> before;
-    for (const char* name : names) before[name] = registry.counter(name).value();
-    FleetSim sim(gc.config);
-    const OtaSummary ota = sim.run().deploy.ota;
-    std::uint64_t updated = 0;
-    std::uint64_t stuck = 0;
-    std::uint64_t rolled_back = 0;
-    for (const OtaEpochEntry& e : ota.epochs_log) {
-      updated += e.devices_updated;
-      stuck += e.devices_stuck;
-      rolled_back += e.devices_rolled_back;
+  std::set<std::string> published;
+  std::set<std::string> moved;
+  for (const auto& [fleet, config] : fleets) {
+    FleetSim sim(config);
+    FleetReport names;  // all zeros, with the fleet's link names
+    for (std::size_t l = 0; l < sim.topology().num_links(); ++l) {
+      names.links.push_back({sim.topology().link(l).name(), {}});
     }
-    const std::map<std::string, std::uint64_t> report = {
-        {"ota.full_fallbacks", ota.full_fallbacks},
-        {"ota.downlink_bytes", ota.delta_downlink_bytes},
-        {"ota.chunk_sends", ota.chunks_sent},
-        {"ota.probe_uplink_bytes", ota.probe_uplink_bytes},
-        {"ota.resume_rounds", ota.resume_rounds},
-        {"ota.promotions", ota.promotions},
-        {"ota.rollbacks", ota.rollbacks},
-        {"ota.commits", updated},
-        {"ota.devices_stuck", stuck},
-        {"ota.device_rollbacks", rolled_back}};
-    for (const auto& [name, value] : report) {
+    std::map<std::string, std::uint64_t> before = published_sources(names);
+    for (auto& [name, value] : before) value = registry.counter(name).value();
+    const std::map<std::string, std::uint64_t> sources = published_sources(sim.run());
+    ASSERT_EQ(sources.size(), before.size()) << fleet;
+    for (const auto& [name, value] : sources) {
       EXPECT_EQ(registry.counter(name).value() - before.at(name), value)
-          << gc.name << ' ' << name;
+          << fleet << ' ' << name;
+      const std::string family = name.starts_with("net.link.") ? "net.link.*" : name;
+      published.insert(family);
+      if (value > 0) moved.insert(family);
     }
   }
-  EXPECT_EQ(ota_rows, 3u);
+  // The 43 fixed names and the per-link family: 44 published counters. No
+  // run has an L3 edge with an artifact to relay (degrade_settle walks a
+  // free ladder back to L0 before the deploy phase, and a ladder pinned at
+  // L3 delivers no rows to train on), so that one counter stays at zero.
+  EXPECT_EQ(published.size(), 44u);
+  published.erase("sim.degrade.artifact_relays_skipped");
+  EXPECT_EQ(moved, published);
 }
 
 // handle() names each event's span from a table of literals, and perfbench

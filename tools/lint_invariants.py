@@ -65,6 +65,12 @@ R10 stage-accounting      A default-constructed StageReport declaration
                           from pipeline::run_stage, so rows, columns, missing
                           rates, cost and the one wall-time measurement are
                           filled the same way wherever a stage runs.
+R11 single-ledger         obs::registry() is not called in src/sim/ or
+                          src/net/ outside src/sim/report.cpp — a fleet run
+                          keeps every count in its FleetReport, and
+                          sim::publish_counters adds the totals to the
+                          registry once per run, so the two can never drift
+                          and the event loop takes no registry lock.
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -436,6 +442,31 @@ def check_stage_accounting(src: Path) -> list[str]:
     return problems
 
 
+REGISTRY_CALL = re.compile(r"(?<![.>])\bregistry\s*\(\s*\)")
+LEDGER_HOME = "sim/report.cpp"
+
+
+def check_single_ledger(src: Path) -> list[str]:
+    """R11: no obs::registry() call in src/sim/ or src/net/ but the publisher's."""
+    problems = []
+    for sub in ("sim", "net"):
+        d = src / sub
+        if not d.is_dir():
+            continue
+        for f in sorted(list(d.rglob("*.cpp")) + list(d.rglob("*.hpp"))):
+            if f.relative_to(src).as_posix() == LEDGER_HOME:
+                continue
+            code = strip_comments_and_strings(f.read_text())
+            for lineno, line in enumerate(code.splitlines(), start=1):
+                if REGISTRY_CALL.search(line):
+                    problems.append(
+                        f"{f.relative_to(src.parent)}:{lineno}: R11 registry call in the "
+                        f"fleet — count it in FleetReport and let sim::publish_counters "
+                        f"(src/sim/report.cpp) publish the total once per run"
+                    )
+    return problems
+
+
 def check_pragma_once(src: Path) -> list[str]:
     """R5: every header uses #pragma once."""
     problems = []
@@ -548,6 +579,19 @@ def self_test() -> int:
           "StageReport acq = pipeline::run_stage(\"a\", \"d\", t, ds, body);\n"
           "for (const StageReport& r : reports) {}\n"},
          check_stage_accounting, scope="src")
+    case("R11-flag-sim", True,
+         {"src/sim/fleet.cpp": "  obs::registry().counter(\"sim.events\").add();\n"},
+         check_single_ledger, scope="src")
+    case("R11-flag-net", True,
+         {"src/net/channel.cpp":
+          "static obs::Counter& acks = obs::registry().counter(\"net.channel.acks\");\n"},
+         check_single_ledger, scope="src")
+    case("R11-clean", False,
+         {"src/sim/report.cpp": "  obs::Registry& registry = obs::registry();\n",
+          "src/sim/fleet.cpp": "tdf_registry_.add(schema);\n// obs::registry() stays out\n",
+          "src/kernels/svm.cpp":
+          "static obs::Counter& trains = obs::registry().counter(\"kernels.svm_trains\");\n"},
+         check_single_ledger, scope="src")
 
     if failures:
         for f in failures:
@@ -583,6 +627,7 @@ def main() -> int:
     problems += check_transport_discipline(args.root)
     problems += check_float_equality(args.root)
     problems += check_stage_accounting(src)
+    problems += check_single_ledger(src)
 
     if problems:
         for p in problems:
@@ -591,7 +636,7 @@ def main() -> int:
         return 1
     print("lint_invariants: clean (R1 preconditions, R2 throws, R3 cycles, R4 rng, "
           "R5 pragma, R6 timing, R7 serialization casts, R8 transport, "
-          "R9 float equality, R10 stage accounting)")
+          "R9 float equality, R10 stage accounting, R11 single ledger)")
     return 0
 
 
