@@ -47,10 +47,12 @@ struct StageReport {
 /// Runs `body` on `ds` and returns its complete accounting record: rows,
 /// columns and missing rate of `ds` before and after the body, the cost the
 /// body returns and the measured wall time of the body. The body may replace
-/// or empty `ds`. Opens no span and bumps no counter, so a caller that runs
-/// a stage inside its own span adds no trace event.
-template <typename Body>
-StageReport run_stage(std::string name, std::string player, Tier tier, data::Dataset& ds,
+/// or empty `ds`. `ds` is a data::Dataset or any type with the same rows(),
+/// num_columns() and missing_rate() (sim::DeviceWindows accounts a device's
+/// acquisition through one). Opens no span and bumps no counter, so a
+/// caller that runs a stage inside its own span adds no trace event.
+template <typename Data, typename Body>
+StageReport run_stage(std::string name, std::string player, Tier tier, Data& ds,
                       Body&& body) {
   StageReport report;
   report.stage_name = std::move(name);

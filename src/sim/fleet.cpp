@@ -1,14 +1,11 @@
 #include "sim/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <fstream>
 #include <limits>
 #include <numbers>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "approx/confidence.hpp"
@@ -17,9 +14,7 @@
 #include "learners/decision_tree.hpp"
 #include "learners/logistic.hpp"
 #include "learners/naive_bayes.hpp"
-#include "obs/clock.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
 #include "util/bytes.hpp"
@@ -115,45 +110,6 @@ data::Dataset sensor_features(const data::Dataset& ds) {
     if (ds.column(c).name() != "timestamp") cols.push_back(c);
   }
   return cols.empty() || cols.size() == ds.num_columns() ? ds : ds.select_columns(cols);
-}
-
-/// Runs `work(i)` for every i in [0, count). Workers claim 64-index blocks
-/// from a shared counter; there are min(hardware threads, count / 64) of
-/// them, the calling thread among them, so below two full blocks the
-/// calling thread runs every block itself. `work(i)` may write only state of
-/// index i. After every worker has joined, the failure of the lowest
-/// failing index is rethrown (a block stops at its first failure).
-template <typename Work>
-void for_each_index_in_blocks(std::size_t count, const Work& work) {
-  constexpr std::size_t kBlock = 64;
-  const std::size_t blocks = (count + kBlock - 1) / kBlock;
-  std::vector<std::exception_ptr> failures(blocks);
-  std::atomic<std::size_t> next_block{0};
-  auto worker = [&] {
-    for (std::size_t b = next_block++; b < blocks; b = next_block++) {
-      try {
-        for (std::size_t i = b * kBlock; i < std::min(count, (b + 1) * kBlock); ++i) work(i);
-      } catch (...) {
-        failures[b] = std::current_exception();
-      }
-    }
-  };
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(std::thread::hardware_concurrency(), count / kBlock));
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) {
-    try {
-      threads.emplace_back(worker);
-    } catch (const std::exception&) {
-      break;  // no thread to spare: the workers already running take every block
-    }
-  }
-  worker();
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& failure : failures) {
-    if (failure) std::rethrow_exception(failure);
-  }
 }
 
 /// The core->edge downlink of deploy and OTA runs.
@@ -337,7 +293,17 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     node_series_.resize(config.edges + 1);
   }
 
-  generate_device_data();
+  // Deploy runs keep sensing past the learning window: those extra rows are
+  // never flushed upstream — they are the data the deployed artifact scores.
+  const double horizon_s =
+      config.duration_s + (config.deploy.enabled ? config.deploy.score_window_s : 0.0);
+  windows_ = DeviceWindows({.learning_s = config.duration_s,
+                            .horizon_s = horizon_s,
+                            .sensor_period_s = config.sensor_period_s,
+                            .sensor_dropout = config.sensor_dropout,
+                            .keep_behind = config.ota.enabled ? kProbeRows : 0},
+                           device_rngs_, truths_, report_.stage_reports);
+  report_.rows_generated = windows_.rows();
 
   const std::vector<ChaosEvent> faults =
       make_fault_plan(topo_, config.faults, config.duration_s, fault_rng);
@@ -356,77 +322,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   }
 
   if (config.ota.enabled) schedule_ota_epochs();
-}
-
-void FleetSim::generate_device_data() {
-  static const char* kQuantity[3] = {"temperature", "humidity", "wind"};
-  /// Base measurement noise, scaled per quantity by kNoiseScale.
-  static constexpr double kSensorNoise = 0.4;
-  static constexpr double kNoiseScale[3] = {1.0, 2.5, 1.5};
-  const std::size_t devices = config_.devices;
-  device_data_.resize(devices);
-  device_cursor_.assign(devices, 0);
-  // Deploy runs keep sensing past the learning window: those extra rows are
-  // never flushed upstream — they are the data the deployed artifact scores.
-  const double horizon_s =
-      config_.duration_s +
-      (config_.deploy.enabled ? config_.deploy.score_window_s : 0.0);
-
-  // Sensing draws only from each device's own stream, split off before this
-  // runs, so devices are simulated in any order, on worker threads. Workers
-  // write only into buffers reserved here, so they never allocate: a
-  // sensor's period factor is drawn from [0.9, 1.1), which bounds its
-  // samples over the horizon (see DESIGN.md §9).
-  const double most_samples = std::ceil(horizon_s / (0.9 * config_.sensor_period_s)) + 2.0;
-  IOTML_CHECK(most_samples < 1e9, "FleetSim: too many sensor samples per device");
-  std::vector<std::vector<pipeline::SensorStream>> streams(devices);
-  for (std::vector<pipeline::SensorStream>& device : streams) {
-    device.resize(3);
-    for (pipeline::SensorStream& s : device) {
-      s.readings.reserve(static_cast<std::size_t>(most_samples));
-    }
-  }
-  std::vector<std::int64_t> simulate_us(devices, 0);
-  for_each_index_in_blocks(devices, [&](std::size_t d) {
-    const std::int64_t start_us = obs::now_us();
-    Rng& rng = device_rngs_[d];
-    for (std::size_t q = 0; q < 3; ++q) {
-      pipeline::SensorSpec spec;
-      spec.name = kQuantity[q];
-      spec.period_s = config_.sensor_period_s * rng.uniform(0.9, 1.1);
-      spec.clock_jitter_s = 0.02;
-      spec.noise_std = kSensorNoise * kNoiseScale[q];
-      spec.dropout_prob = config_.sensor_dropout;
-      pipeline::simulate_sensor(spec, truths_[q], horizon_s, rng, streams[d][q]);
-    }
-    simulate_us[d] = obs::now_us() - start_us;
-  });
-
-  // Integration allocates each window, so it runs here, in device order.
-  for (std::size_t d = 0; d < devices; ++d) {
-    std::size_t readings = 0;
-    for (const pipeline::SensorStream& s : streams[d]) readings += s.readings.size();
-    data::Dataset& window = device_data_[d];
-    StageReport acq = pipeline::run_stage("acquisition", "device", Tier::kDevice, window, [&] {
-      if (readings > 0) {
-        window = pipeline::integrate_streams(
-                     streams[d], {.merge_tolerance_s = 0.45 * config_.sensor_period_s})
-                     .records;
-      } else {
-        // Every sensor dropped every reading: the device keeps an empty
-        // window with the usual columns and never has rows to flush.
-        window.add_numeric_column("timestamp");
-        for (const pipeline::SensorStream& s : streams[d]) window.add_numeric_column(s.sensor_name);
-      }
-      streams[d].clear();  // frees the readings: the next window reuses that memory
-      return 0.05 + 0.01 * static_cast<double>(readings);
-    });
-    acq.rows_in = readings;
-    // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-    acq.wall_time_us += static_cast<std::uint64_t>(simulate_us[d]);
-    report_.rows_generated += window.rows();
-    report_.stage_reports.push_back(acq);
-  }
 }
 
 void FleetSim::schedule_initial_events() {
@@ -634,7 +529,6 @@ void FleetSim::handle(const Event& event) {
 
 void FleetSim::handle_device_flush(const Event& event) {
   const net::NodeId d = event.target;
-  const data::Dataset& all = device_data_[d];
   const bool final_flush = event.time_s >= config_.duration_s;
   // The final flush drains everything — except in deploy mode, where rows
   // sensed after the learning window stay on the device for local scoring.
@@ -642,11 +536,8 @@ void FleetSim::handle_device_flush(const Event& event) {
       !final_flush ? event.time_s
       : config_.deploy.enabled ? config_.duration_s
                                : std::numeric_limits<double>::infinity();
-  const std::size_t begin = device_cursor_[d];
-  std::size_t end = begin;
-  while (end < all.rows() && all.column(0).numeric(end) < cutoff) ++end;
-  device_cursor_[d] = end;
-  const std::size_t count = end - begin;
+  data::Dataset window = windows_.take(d, cutoff);
+  const std::size_t count = window.rows();
   const bool sf = config_.device_buffer_rows > 0;
   Backlog& backlog = backlogs_[d];
   if (count == 0 && backlog.chunks.empty()) return;
@@ -660,12 +551,9 @@ void FleetSim::handle_device_flush(const Event& event) {
 
   Buffer out;
   if (count > 0) {
-    std::vector<std::size_t> idx(count);
-    std::iota(idx.begin(), idx.end(), begin);
-    data::Dataset chunk = all.select_rows(idx);
     // Local compute is unaffected by connectivity: the device cleans its
     // window even when offline, then persists the result.
-    chunk = tiers_.device.run(std::move(chunk), device_rngs_[d]);
+    data::Dataset chunk = tiers_.device.run(std::move(window), device_rngs_[d]);
     for (const StageReport& r : tiers_.device.reports()) {
       report_.stage_reports.push_back(r);
     }
@@ -1722,7 +1610,7 @@ void FleetSim::finalize() {
   // accounted as retained, not lost.
   if (config_.deploy.enabled) {
     for (std::size_t dvc = 0; dvc < config_.devices; ++dvc) {
-      report_.faults.rows_retained += device_data_[dvc].rows() - device_cursor_[dvc];
+      report_.faults.rows_retained += windows_.rows_left(dvc);
     }
   }
   if (core_buffer_.rows.rows() == 0) return;
@@ -1972,18 +1860,20 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
     device_scored_[device] = 1;
   }
 
-  const data::Dataset& all = device_data_[device];
-  const std::size_t begin = device_cursor_[device];
-  const std::size_t count = all.rows() - begin;
+  const std::size_t count = windows_.rows_left(device);
   if (count == 0) return;
 
-  runtime.bind(all);
+  // The rows scored are also the counterfactual payload below.
+  net::Message raw;
+  raw.payload = windows_.rest(device);
+  const data::Dataset& rows = raw.payload;
+  runtime.bind(rows);
   PredBatch batch;
   batch.device = device;
   batch.rows = count;
-  for (std::size_t r = begin; r < all.rows(); ++r) {
-    const int pred = runtime.predict_row(all, r);
-    if (pred == truth_label(all.column(0).numeric(r))) ++batch.correct;
+  for (std::size_t r = 0; r < count; ++r) {
+    const int pred = runtime.predict_row(rows, r);
+    if (pred == truth_label(rows.column(0).numeric(r))) ++batch.correct;
   }
   (stale ? d.rows_scored_stale : d.rows_scored) += count;
 
@@ -1991,10 +1881,6 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   // regime) would have cost. The payload crosses both hops; edge batching
   // would amortize the second header, which this deliberately ignores —
   // the payload bytes dominate.
-  std::vector<std::size_t> idx(count);
-  std::iota(idx.begin(), idx.end(), begin);
-  net::Message raw;
-  raw.payload = all.select_rows(idx);
   raw.origin_s = {now_s};
   d.uplink_raw_bytes += 2 * net::wire_size_bytes(raw);
 
@@ -2067,7 +1953,6 @@ constexpr double kResumeTimeoutS = 2.0;
 /// Rollout start to canary verdict: time for chunks, commits and probe
 /// reports to cross the tree once.
 constexpr double kVerdictDelayS = 6.0;
-constexpr std::size_t kProbeRows = 32;    ///< recent rows a canary scores with both models
 constexpr double kEpochJitterS = 0.5;     ///< retrain jitter bound (`epoch` stream)
 constexpr std::size_t kMinTrainRows = 8;  ///< fewer labeled core rows: outcome "no-data"
 
@@ -2391,21 +2276,19 @@ ota::CanaryProbe FleetSim::ota_probe(std::size_t device_index,
                                      double now_s) const {
   ota::CanaryProbe probe;
   probe.device = static_cast<std::uint32_t>(device_index);
-  const data::Dataset& all = device_data_[device_index];
-  std::size_t upto = 0;
-  while (upto < all.rows() && all.column(0).numeric(upto) < now_s) ++upto;
-  const std::size_t count = std::min(kProbeRows, upto);
+  const data::Dataset rows = windows_.recent(device_index, now_s, kProbeRows);
+  const std::size_t count = rows.rows();
   if (count == 0) return probe;
 
   deploy::DeviceRuntime old_rt(deploy::CompiledModel::decode(old_image));
   deploy::DeviceRuntime new_rt(deploy::CompiledModel::decode(new_image));
-  old_rt.bind(all);
-  new_rt.bind(all);
+  old_rt.bind(rows);
+  new_rt.bind(rows);
   probe.rows = count;
-  for (std::size_t r = upto - count; r < upto; ++r) {
-    const int label = truth_label(all.column(0).numeric(r));
-    if (old_rt.predict_row(all, r) == label) ++probe.correct_old;
-    if (new_rt.predict_row(all, r) == label) ++probe.correct_new;
+  for (std::size_t r = 0; r < count; ++r) {
+    const int label = truth_label(rows.column(0).numeric(r));
+    if (old_rt.predict_row(rows, r) == label) ++probe.correct_old;
+    if (new_rt.predict_row(rows, r) == label) ++probe.correct_new;
   }
   return probe;
 }

@@ -28,6 +28,7 @@
 #include "ota/version.hpp"
 #include "pipeline/sensors.hpp"
 #include "sim/chaos.hpp"
+#include "sim/device_windows.hpp"
 #include "sim/placement.hpp"
 #include "sim/report.hpp"
 #include "sim/scheduler.hpp"
@@ -256,6 +257,13 @@ class FleetSim {
   /// before it is rendered.
   std::size_t event_log_bytes() const noexcept { return sched_.bytes(); }
 
+  /// Bytes the device windows' unfreed row blocks hold (DeviceWindows::bytes).
+  std::size_t window_bytes() const noexcept { return windows_.bytes(); }
+
+  /// Recent rows an OTA canary scores with both models; OTA runs keep each
+  /// device's last kProbeRows taken rows.
+  static constexpr std::size_t kProbeRows = 32;
+
   const net::Topology& topology() const noexcept { return topo_; }
 
   /// The run's observatory, or nullptr when config.observatory.enabled is
@@ -290,7 +298,6 @@ class FleetSim {
     bool landed = false;    ///< a copy landed; later ones are duplicates
   };
 
-  void generate_device_data();
   void schedule_initial_events();
   void handle(const Event& event);
   void handle_device_flush(const Event& event);
@@ -473,9 +480,8 @@ class FleetSim {
   /// through these (lint rule R8 bans direct Link transmits outside net/).
   std::vector<net::Channel> channels_;
 
-  std::vector<pipeline::Signal> truths_;      ///< per measured quantity
-  std::vector<data::Dataset> device_data_;    ///< pre-integrated full window
-  std::vector<std::size_t> device_cursor_;    ///< next unflushed row
+  std::vector<pipeline::Signal> truths_;  ///< per measured quantity
+  DeviceWindows windows_;                 ///< every device's sensed rows
 
   /// Row frames whose arrivals are scheduled, held until their last copy
   /// lands and keyed by the message index those arrival events carry (the

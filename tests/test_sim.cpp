@@ -860,10 +860,11 @@ TEST(FleetJourney, SendHopsFollowOneLabellingRule) {
 // Small fleets that between them cross every send site (rows, degrade
 // summaries, deploy artifacts and predictions, OTA chunks, probe reports
 // and rollback commands) in both channel modes, each bound a device backlog
-// evicts by and every OTA transfer fallback, plus one fleet wide enough to
-// sense on worker threads. Each case pins the FNV-1a-64 digests of its
-// event log, its FleetReport JSON, its journeys.jsonl when the observatory
-// is on ("-" otherwise) and its stage ledger in golden/fleet_digest_grid.txt,
+// evicts by and every OTA transfer fallback, plus fleets wide enough to
+// sense on worker threads and across sensing batches. Each case pins the
+// FNV-1a-64 digests of its event log, its FleetReport JSON, its
+// journeys.jsonl when the observatory is on ("-" otherwise) and its stage
+// ledger in golden/fleet_digest_grid.txt,
 // so a change to the transport, the simulator, the journey store or the
 // stage accounting that moves one byte of any fails here.
 // Regenerate with IOTML_UPDATE_GOLDEN=1 only for an intentional behaviour
@@ -950,6 +951,17 @@ FleetConfig backlog_config(std::uint64_t seed, bool ack, bool observatory) {
     c.channel.queue_capacity = 2;
     c.channel.max_attempts = 3;
   }
+  return c;
+}
+
+// 1,100 devices: two full 512-device sensing batches and a partial one, so
+// device windows cross batch boundaries. Many small edge batches over a
+// lossy uplink keep the core's tree fits small.
+FleetConfig wide_batches_fleet(std::uint64_t seed, bool observatory) {
+  FleetConfig c = grid_fleet(seed, observatory);
+  c.devices = 1100;
+  c.edges = 50;
+  c.edge_core_link.max_retries = 0;
   return c;
 }
 
@@ -1145,6 +1157,39 @@ std::vector<GridCase> digest_grid() {
     c.chaos.load_storm_mean_s = 3.0;
     grid.push_back({"series-offgrid", c, [](const FleetReport& r) {
                       return r.faults.checkpoints_written > 0 && r.faults.load_storms > 0;
+                    }});
+  }
+  {
+    // Churning devices drain their backlogs later, and every device scores
+    // its post-window rows.
+    FleetConfig c = wide_batches_fleet(111, false);
+    c.duration_s = 4.0;
+    c.device_flush_s = 1.0;
+    c.edge_flush_s = 0.5;
+    c.edge_core_link.drop_prob = 0.95;
+    c.deploy.enabled = true;
+    c.deploy.score_window_s = 2.0;
+    c.faults.device_churns = 1.0;
+    c.faults.device_offtime_mean_s = 1.5;
+    c.device_buffer_rows = 4096;
+    c.telemetry.enabled = true;
+    grid.push_back({"wide-batches-deploy-churn-sf", c, [](const FleetReport& r) {
+                      return r.devices == 1100 && r.deploy.predictions_delivered > 0 &&
+                             r.faults.rows_retained > 0 && r.telemetry.log_highwater_bytes > 0;
+                    }});
+  }
+  {
+    // Long enough that canary probes read rows behind each device's cursor
+    // after its earliest time slices were freed.
+    FleetConfig c = wide_batches_fleet(112, true);
+    c.duration_s = 24.0;
+    c.device_flush_s = 2.0;
+    c.edge_flush_s = 1.0;
+    c.edge_core_link.drop_prob = 0.98;
+    c.ota.enabled = true;
+    c.ota.canary_fraction = 0.5;
+    grid.push_back({"wide-batches-ota", c, [](const FleetReport& r) {
+                      return r.devices == 1100 && r.deploy.ota.probe_uplink_bytes > 0;
                     }});
   }
   return grid;

@@ -71,6 +71,13 @@ R11 single-ledger         obs::registry() is not called in src/sim/ or
                           sim::publish_counters adds the totals to the
                           registry once per run, so the two can never drift
                           and the event loop takes no registry lock.
+R12 worker-allocation     The body of a lambda passed to
+                          for_each_index_in_blocks in src/sim/ makes no
+                          allocating call (push_back, emplace_back, resize,
+                          reserve, insert, new, make_unique, make_shared) —
+                          workers write only into memory the constructing
+                          thread allocated, so every device-window block is
+                          allocated and freed by one thread (DESIGN.md §9).
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -467,6 +474,54 @@ def check_single_ledger(src: Path) -> list[str]:
     return problems
 
 
+WORKER_CALL = re.compile(r"\bfor_each_index_in_blocks\s*\(")
+LAMBDA_HEAD = re.compile(r"\[[^\[\]]*\]\s*(?:\([^()]*\))?\s*(?:mutable\s*)?(?:->[^{]*)?\{")
+ALLOCATING_CALL = re.compile(
+    r"\b(?:push_back|emplace_back|resize|reserve|insert)\s*\(|\bnew\b|"
+    r"\bmake_(?:unique|shared)\w*\s*[<(]")
+
+
+def balanced_parens(text: str, open_idx: int) -> str:
+    """Return the (...) block starting at text[open_idx] == '(' (best effort)."""
+    depth = 0
+    for j in range(open_idx, len(text)):
+        if text[j] == "(":
+            depth += 1
+        elif text[j] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_idx : j + 1]
+    return text[open_idx:]
+
+
+def check_worker_allocation(src: Path) -> list[str]:
+    """R12: lambdas run by for_each_index_in_blocks in src/sim/ allocate nothing."""
+    problems = []
+    d = src / "sim"
+    if not d.is_dir():
+        return problems
+    for f in sorted(list(d.rglob("*.cpp")) + list(d.rglob("*.hpp"))):
+        code = strip_comments_and_strings(f.read_text())
+        for call in WORKER_CALL.finditer(code):
+            args_start = call.end() - 1
+            args = balanced_parens(code, args_start)
+            scanned = 0  # a lambda nested in a scanned body is already covered
+            for head in LAMBDA_HEAD.finditer(args):
+                if head.start() < scanned:
+                    continue
+                body_start = args_start + head.end() - 1
+                body = extract_brace_block(code, body_start)
+                scanned = head.end() - 1 + len(body)
+                for alloc in ALLOCATING_CALL.finditer(body):
+                    lineno = code.count("\n", 0, body_start + alloc.start()) + 1
+                    problems.append(
+                        f"{f.relative_to(src.parent)}:{lineno}: R12 allocating call in a "
+                        f"worker lambda — reserve the memory on the constructing thread "
+                        f"and let the workers only fill it (DESIGN.md §9)"
+                    )
+    return problems
+
+
 def check_pragma_once(src: Path) -> list[str]:
     """R5: every header uses #pragma once."""
     problems = []
@@ -593,6 +648,26 @@ def self_test() -> int:
           "static obs::Counter& trains = obs::registry().counter(\"kernels.svm_trains\");\n"},
          check_single_ledger, scope="src")
 
+    case("R12-flag", True,
+         {"src/sim/fleet.cpp":
+          "for_each_index_in_blocks(n, [&](std::size_t d) {\n"
+          "  if (d > 0) {\n    rows[d].push_back(1.0);\n  }\n});\n"},
+         check_worker_allocation, scope="src")
+    case("R12-flag-new", True,
+         {"src/sim/device_windows.cpp":
+          "for_each_index_in_blocks(count, [&](std::size_t i) { cells[i] = new double[4]; });\n"},
+         check_worker_allocation, scope="src")
+    case("R12-clean", False,
+         {"src/sim/device_windows.cpp":
+          "void for_each_index_in_blocks(std::size_t count, const Work& work) {\n"
+          "  threads.emplace_back(worker);\n}\n"
+          "rows.reserve(n);\n"
+          "for_each_index_in_blocks(n, [&](std::size_t d) { rows[d] = 2.0; });\n"
+          "out.push_back(std::make_unique<double[]>(n));\n",
+          "src/kernels/gram.cpp":
+          "for_each_index_in_blocks(n, [&](std::size_t d) { rows[d].push_back(1.0); });\n"},
+         check_worker_allocation, scope="src")
+
     if failures:
         for f in failures:
             print(f"self-test FAIL {f}")
@@ -628,6 +703,7 @@ def main() -> int:
     problems += check_float_equality(args.root)
     problems += check_stage_accounting(src)
     problems += check_single_ledger(src)
+    problems += check_worker_allocation(src)
 
     if problems:
         for p in problems:
@@ -636,7 +712,8 @@ def main() -> int:
         return 1
     print("lint_invariants: clean (R1 preconditions, R2 throws, R3 cycles, R4 rng, "
           "R5 pragma, R6 timing, R7 serialization casts, R8 transport, "
-          "R9 float equality, R10 stage accounting, R11 single ledger)")
+          "R9 float equality, R10 stage accounting, R11 single ledger, "
+          "R12 worker allocation)")
     return 0
 
 
