@@ -71,6 +71,16 @@ void Column::push_category(const std::string& label) {
   missing_.push_back(false);
 }
 
+Column Column::head(std::size_t rows) const {
+  IOTML_CHECK(rows <= values_.size(), "Column::head: more rows than the column holds");
+  Column out(name_, type_);
+  const auto n = static_cast<std::ptrdiff_t>(rows);
+  out.values_.assign(values_.begin(), values_.begin() + n);
+  out.missing_.assign(missing_.begin(), missing_.begin() + n);
+  out.categories_ = categories_;
+  return out;
+}
+
 void Column::set_category(std::size_t row, const std::string& label) {
   IOTML_CHECK(row < values_.size(), "Column::set_category: row out of range");
   IOTML_CHECK(type_ == ColumnType::kCategorical, "Column::set_category: not categorical");
@@ -205,6 +215,17 @@ Dataset Dataset::select_rows(const std::vector<std::size_t>& rows) const {
     new_labels.reserve(rows.size());
     for (std::size_t r : rows) new_labels.push_back(label(r));
     out.set_labels(std::move(new_labels));
+  }
+  return out;
+}
+
+Dataset Dataset::head(std::size_t rows) const {
+  IOTML_CHECK(rows <= this->rows() && (labels_.empty() || rows <= labels_.size()),
+              "Dataset::head: more rows than the dataset holds");
+  Dataset out;
+  for (const Column& c : columns_) out.columns_.push_back(c.head(rows));
+  if (has_labels()) {
+    out.labels_.assign(labels_.begin(), labels_.begin() + static_cast<std::ptrdiff_t>(rows));
   }
   return out;
 }

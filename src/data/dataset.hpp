@@ -56,6 +56,11 @@ class Column {
   /// Raw storage (numeric value or category index; unspecified when missing).
   const std::vector<double>& raw() const noexcept { return values_; }
 
+  /// A copy of the first `rows` cells, raw values included, under the same
+  /// name, type and whole category dictionary. Throws InvalidArgument if
+  /// `rows` exceeds size().
+  Column head(std::size_t rows) const;
+
  private:
   std::string name_;
   ColumnType type_;
@@ -110,6 +115,11 @@ class Dataset {
 
   /// Extract rows by index into a new dataset (labels follow when present).
   Dataset select_rows(const std::vector<std::size_t>& rows) const;
+
+  /// The first `rows` rows as a new dataset: each column's Column::head and
+  /// the first `rows` labels when present. Throws InvalidArgument if `rows`
+  /// exceeds rows().
+  Dataset head(std::size_t rows) const;
 
   /// Extract a subset of columns (labels follow when present).
   Dataset select_columns(const std::vector<std::size_t>& cols) const;

@@ -84,8 +84,8 @@ void JourneyLog::record(const HopRecord& r, std::span<const std::uint64_t> paren
     out.varint_u64(r.bytes);
     out.varint_u64(r.attempts);
     out.varint_u64(parents.size());
-    out.f64(r.t0_s);
-    if (t1_mode == kT1Stored) out.f64(r.t1_s);
+    out.varint_i64(static_cast<std::int64_t>(t0_bits - last_t0_bits_));
+    if (t1_mode == kT1Stored) out.varint_i64(static_cast<std::int64_t>(t1_bits - t0_bits));
     std::uint64_t previous = r.trace;
     for (const std::uint64_t parent : parents) {
       out.varint_i64(static_cast<std::int64_t>(parent - previous));
@@ -93,12 +93,14 @@ void JourneyLog::record(const HopRecord& r, std::span<const std::uint64_t> paren
     }
   });
   last_trace_ = r.trace;
+  last_t0_bits_ = t0_bits;
 }
 
 template <typename F>
 void JourneyLog::for_each_hop(F&& f) const {
   HopRecord hop;
   std::uint64_t trace = 0;
+  std::uint64_t t0_bits = 0;
   hops_.for_each([&](util::ByteReader& in) {
     const std::uint8_t flags = in.u8();
     hop.kind = static_cast<HopKind>(flags & 0x3U);
@@ -113,7 +115,8 @@ void JourneyLog::for_each_hop(F&& f) const {
     hop.bytes = in.varint_u64();
     hop.attempts = static_cast<std::uint32_t>(in.varint_u64());
     const std::uint64_t parents = in.varint_u64();
-    hop.t0_s = in.f64();
+    t0_bits += static_cast<std::uint64_t>(in.varint_i64());
+    hop.t0_s = std::bit_cast<double>(t0_bits);
     switch (flags >> kT1Shift) {
       case kT1IsT0:
         hop.t1_s = hop.t0_s;
@@ -122,7 +125,7 @@ void JourneyLog::for_each_hop(F&& f) const {
         hop.t1_s = 0.0;
         break;
       default:
-        hop.t1_s = in.f64();
+        hop.t1_s = std::bit_cast<double>(t0_bits + static_cast<std::uint64_t>(in.varint_i64()));
     }
     hop.parents.clear();
     std::uint64_t previous = trace;
@@ -183,6 +186,7 @@ void JourneyLog::clear() {
   hops_.clear();
   outcomes_.clear();
   last_trace_ = 0;
+  last_t0_bits_ = 0;
   dropped_ = 0;
 }
 

@@ -59,9 +59,11 @@ struct HopRecord {
 /// pattern, +0.0 or stored), the outcome as an index into the log's table of
 /// distinct outcome pointers, the trace as a zigzag delta from the previous
 /// stored hop's, then hop, src, dst, rows, bytes, attempts and the parent
-/// count as varints, t0 (and t1 when stored) as raw f64 bits, and the
-/// parents as zigzag deltas chained from the trace. A fleet hop costs
-/// 23.7 B, parents included (fleet-wire, seed 1). snapshot() and
+/// count as varints, t0 as the zigzag varint of its f64 bit pattern's
+/// difference from the previous stored hop's t0, a stored t1 as the same
+/// against its own t0, and the parents as zigzag deltas chained from the
+/// trace. A fleet hop costs 17.8 B, parents included (fleet-wire, seed 1).
+/// snapshot() and
 /// write_jsonl() rebuild the recorded HopRecords bit for bit. Thread-safe;
 /// write_jsonl emits one fixed-key-order JSON object per line in append
 /// order.
@@ -103,6 +105,7 @@ class JourneyLog {
   util::RecordLog hops_;
   std::vector<const char*> outcomes_;  ///< each distinct outcome pointer, first use first
   std::uint64_t last_trace_ = 0;       ///< the last stored hop's trace
+  std::uint64_t last_t0_bits_ = 0;     ///< the last stored hop's t0 bit pattern
   std::uint64_t dropped_ = 0;
 };
 

@@ -672,7 +672,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   // The flush ships these rows upstream, so the checkpoint covering them is
   // retired with the buffer — a later restore must never resurrect rows
   // that already left the edge.
-  edge_checkpoints_[edge_index] = Buffer{};
+  edge_checkpoints_[edge_index] = Checkpoint{};
   send(e, std::move(out), now_s);
 }
 
@@ -736,7 +736,7 @@ approx::DegradeSignals FleetSim::degrade_signals(std::size_t edge_index,
   // Checkpoint lag: rows buffered beyond what the last checkpoint covers.
   if (config_.checkpoint_interval_s > 0.0) {
     const std::size_t buffered = edge_buffers_[edge_index].rows.rows();
-    const std::size_t persisted = edge_checkpoints_[edge_index].rows.rows();
+    const std::size_t persisted = edge_checkpoints_[edge_index].rows;
     const std::size_t lag = buffered > persisted ? buffered - persisted : 0;
     s.checkpoint_lag = static_cast<double>(lag) /
                        static_cast<double>(config_.degrade.checkpoint_lag_rows);
@@ -983,7 +983,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
   // The window is answered: its rows leave the ledger as sampled-out, and
   // the checkpoint that covered them retires with the buffer.
   buf = Buffer{};
-  edge_checkpoints_[edge_index] = Buffer{};
+  edge_checkpoints_[edge_index] = Checkpoint{};
 }
 
 void FleetSim::handle_summary_arrival(const Event& event) {
@@ -1377,10 +1377,25 @@ void FleetSim::handle_corrupt_arrival(const Event& event, const net::Message& ms
   }
 }
 
+namespace {
+
+/// A copy of the first `n` elements of `v`.
+template <typename T>
+std::vector<T> head(const std::vector<T>& v, std::size_t n) {
+  return {v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+}  // namespace
+
 void FleetSim::handle_checkpoint(std::size_t edge_index) {
   if (!topo_.node(topo_.edge(edge_index)).up) return;  // crashed edges can't persist
+  // An up edge's restore slot is empty: restart moved the last one back.
   const Buffer& buf = edge_buffers_[edge_index];
-  edge_checkpoints_[edge_index] = buf;
+  Checkpoint& ckpt = edge_checkpoints_[edge_index];
+  ckpt.rows = buf.rows.rows();
+  ckpt.origins = buf.origin_s.size();
+  ckpt.parents = buf.parents.size();
+  ckpt.strata = buf.strata.size();
   ++report_.faults.checkpoints_written;
   if (obsy_) {
     obsy_->flight().note(topo_.edge(edge_index), sched_.now_s(), "checkpoint",
@@ -1399,9 +1414,18 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   // Volatile state dies with the process: everything integrated since the
   // last checkpoint is gone. The checkpoint itself is durable storage.
   Buffer& buf = edge_buffers_[edge_index];
-  const std::size_t persisted =
-      std::min(edge_checkpoints_[edge_index].rows.rows(), buf.rows.rows());
-  report_.faults.rows_lost_to_crash += buf.rows.rows() - persisted;
+  Checkpoint& ckpt = edge_checkpoints_[edge_index];
+  IOTML_INTERNAL_CHECK(ckpt.rows <= buf.rows.rows() && ckpt.origins <= buf.origin_s.size() &&
+                           ckpt.parents <= buf.parents.size() &&
+                           ckpt.strata <= buf.strata.size(),
+                       "FleetSim: an edge checkpoint is not a prefix of its buffer");
+  report_.faults.rows_lost_to_crash += buf.rows.rows() - ckpt.rows;
+  if (ckpt.rows > 0) {
+    ckpt.restore.rows = buf.rows.head(ckpt.rows);
+    ckpt.restore.origin_s = head(buf.origin_s, ckpt.origins);
+    ckpt.restore.parents = head(buf.parents, ckpt.parents);
+    ckpt.restore.strata = head(buf.strata, ckpt.strata);
+  }
   buf = Buffer{};
 }
 
@@ -1409,14 +1433,14 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   net::NodeInfo& n = topo_.node(topo_.edge(edge_index));
   if (n.up) return;  // already restarted (overlapping crash windows)
   n.up = true;
-  const Buffer& ckpt = edge_checkpoints_[edge_index];
-  if (ckpt.rows.rows() == 0) return;
+  Checkpoint& ckpt = edge_checkpoints_[edge_index];
+  if (ckpt.rows == 0) return;
   Buffer& buf = edge_buffers_[edge_index];
   IOTML_INTERNAL_CHECK(buf.rows.rows() == 0,
                        "FleetSim: restart over a live edge buffer");
-  buf = ckpt;
+  buf = std::exchange(ckpt.restore, Buffer{});
   ++report_.faults.checkpoints_restored;
-  report_.faults.rows_recovered += ckpt.rows.rows();
+  report_.faults.rows_recovered += ckpt.rows;
 }
 
 void FleetSim::set_partition(bool on) {

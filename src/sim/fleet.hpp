@@ -3,7 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -346,13 +346,17 @@ class FleetSim {
   void set_corruption_storm(bool on);
 
   /// One device's store-and-forward backlog: the chunks that missed the
-  /// uplink, oldest first, with running totals over them.
+  /// uplink, oldest first, with running totals over them. A list: an empty
+  /// one owns no heap block, as an empty std::deque does (most of a fleet's
+  /// backlogs are empty), and evicting the oldest chunk moves no other
+  /// chunk, as a vector would (moving a Dataset allocates: its columns live
+  /// in a std::deque).
   struct Backlog {
     struct Chunk {
       Buffer buffer;
       std::size_t bytes = 0;  ///< encoded TDF frame size; 0 without telemetry
     };
-    std::deque<Chunk> chunks;
+    std::list<Chunk> chunks;
     std::size_t rows = 0;
     std::size_t bytes = 0;
     /// Largest `bytes` after a store's byte-bound eviction; a drain does
@@ -509,8 +513,20 @@ class FleetSim {
   std::vector<std::array<obs::Sampler*, kNodeSeries>> node_series_;
   obs::Sampler* flush_rows_series_ = nullptr;  ///< fleet-wide flush.rows
 
-  std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
-  std::vector<Backlog> backlogs_;         ///< per device
+  /// What an edge's last checkpoint persisted: the lengths of its buffer's
+  /// prefix. The buffer only appends between a checkpoint and the flush
+  /// that retires it, so the persisted rows stay in the buffer itself; a
+  /// crash, which wipes the buffer, copies that prefix into `restore`, and
+  /// restart moves it back.
+  struct Checkpoint {
+    std::size_t rows = 0;
+    std::size_t origins = 0;
+    std::size_t parents = 0;
+    std::size_t strata = 0;
+    Buffer restore;  ///< the persisted prefix while the edge is down
+  };
+  std::vector<Checkpoint> edge_checkpoints_;  ///< per edge
+  std::vector<Backlog> backlogs_;             ///< per device
 
   // ---- Telemetry wire state (empty unless config_.telemetry.enabled) ----
   tdf::SchemaRegistry tdf_registry_;       ///< edge-side schemas, keyed by id

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -111,13 +112,15 @@ Event Scheduler::pop() {
     queue_.pop_back();
   }
   now_s_ = event.time_s;
+  const std::uint64_t time_bits = std::bit_cast<std::uint64_t>(event.time_s);
   popped_.append([&](util::ByteWriter& out) {
     out.u8(static_cast<std::uint8_t>(event.kind));
-    out.f64(event.time_s);
+    out.varint_i64(static_cast<std::int64_t>(time_bits - last_popped_time_bits_));
     out.varint_i64(static_cast<std::int64_t>(event.seq - last_popped_seq_));
     out.varint_u64(event.target);
     out.varint_u64(event.message + 1);  // kNoMessage wraps to 0
   });
+  last_popped_time_bits_ = time_bits;
   last_popped_seq_ = event.seq;
   return event;
 }
@@ -125,12 +128,12 @@ Event Scheduler::pop() {
 template <typename F>
 void Scheduler::for_each_popped(F&& f) const {
   Event event;
-  std::uint64_t seq = 0;
+  std::uint64_t time_bits = 0;
   popped_.for_each([&](util::ByteReader& in) {
     event.kind = static_cast<EventKind>(in.u8());
-    event.time_s = in.f64();
-    seq += static_cast<std::uint64_t>(in.varint_i64());
-    event.seq = seq;
+    time_bits += static_cast<std::uint64_t>(in.varint_i64());
+    event.time_s = std::bit_cast<double>(time_bits);
+    event.seq += static_cast<std::uint64_t>(in.varint_i64());
     event.target = in.varint_u64();
     event.message = in.varint_u64() - 1;
     f(event);

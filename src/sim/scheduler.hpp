@@ -80,7 +80,7 @@ struct Event {
 /// A periodic series is queued one event at a time: the queue holds one
 /// entry per one-off event and one per live series, not every event a run
 /// will see. Every pop keeps its event as one variable-length record (see
-/// bytes(); 14.5 B on fleet-wire); the event log, which the determinism
+/// bytes(); 9.6 B on fleet-wire); the event log, which the determinism
 /// test compares byte-for-byte across runs, is rendered from those records
 /// only when it is read.
 class Scheduler {
@@ -124,7 +124,9 @@ class Scheduler {
   std::uint64_t processed() const noexcept { return popped_.size(); }
 
   /// Bytes the popped events' records hold. Each record is the kind byte,
-  /// the time as raw f64 bits, the seq as a zigzag varint delta from the
+  /// the time as the zigzag varint of its f64 bit pattern's difference
+  /// from the previous pop's (exact for every pattern, one byte within a
+  /// same-instant group), the seq as a zigzag varint delta from the
   /// previous pop's, the target as a varint and message + 1 as a varint
   /// (0 when the event carries none).
   std::size_t bytes() const noexcept { return popped_.bytes(); }
@@ -173,7 +175,8 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   double now_s_ = 0.0;
   util::RecordLog popped_;
-  std::uint64_t last_popped_seq_ = 0;  ///< the base of the next pop's seq delta
+  std::uint64_t last_popped_time_bits_ = 0;  ///< the base of the next pop's time delta
+  std::uint64_t last_popped_seq_ = 0;        ///< the base of the next pop's seq delta
 };
 
 }  // namespace iotml::sim

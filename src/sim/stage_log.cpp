@@ -9,11 +9,15 @@ namespace iotml::sim {
 
 namespace {
 
-// A run's first varint: the stage index above two bits that mark a missing
-// rate of +0.0, which the record then leaves out.
-constexpr int kRateBits = 2;
-constexpr std::uint64_t kInZero = 1;
-constexpr std::uint64_t kOutZero = 2;
+// A run's first varint: the stage index above one 2-bit mode for each of
+// missing_rate_in, missing_rate_out and cost, lowest bits first. Only a
+// stored value's eight bytes follow the counts.
+constexpr int kModeBits = 2;
+constexpr int kHeadBits = 3 * kModeBits;
+constexpr std::uint64_t kModeMask = (1U << kModeBits) - 1;
+constexpr std::uint64_t kZero = 0;    ///< +0.0
+constexpr std::uint64_t kSame = 1;    ///< the previous run's bit pattern
+constexpr std::uint64_t kStored = 2;  ///< the bit pattern follows
 
 }  // namespace
 
@@ -29,35 +33,42 @@ void StageLog::push_back(const pipeline::StageReport& report) {
   if (stage == stages_.size()) {
     stages_.push_back({.name = report.stage_name, .player = report.player, .tier = report.tier});
   }
-  // A missing rate of +0.0 (bit pattern, so -0.0 is stored) is common and
-  // costs one bit beside the stage index instead of eight bytes.
-  const bool in_zero = std::bit_cast<std::uint64_t>(report.missing_rate_in) == 0;
-  const bool out_zero = std::bit_cast<std::uint64_t>(report.missing_rate_out) == 0;
+  // Bit patterns, not values: a -0.0 beside a +0.0 is stored.
+  const Values bits = {std::bit_cast<std::uint64_t>(report.missing_rate_in),
+                       std::bit_cast<std::uint64_t>(report.missing_rate_out),
+                       std::bit_cast<std::uint64_t>(report.cost)};
+  std::uint64_t head = std::uint64_t{stage} << kHeadBits;
+  for (std::size_t v = 0; v < bits.size(); ++v) {
+    const std::uint64_t mode = bits[v] == 0 ? kZero : bits[v] == last_[v] ? kSame : kStored;
+    head |= mode << (kModeBits * v);
+  }
   runs_.append([&](util::ByteWriter& out) {
-    out.varint_u64(std::uint64_t{stage} << kRateBits | (in_zero ? kInZero : 0U) |
-                   (out_zero ? kOutZero : 0U));
+    out.varint_u64(head);
     out.varint_u64(report.rows_in);
     out.varint_u64(report.rows_out);
     out.varint_u64(report.columns_out);
     out.varint_u64(report.wall_time_us);
-    if (!in_zero) out.f64(report.missing_rate_in);
-    if (!out_zero) out.f64(report.missing_rate_out);
-    out.f64(report.cost);
+    for (std::size_t v = 0; v < bits.size(); ++v) {
+      if (((head >> (kModeBits * v)) & kModeMask) == kStored) out.u64(bits[v]);
+    }
   });
+  last_ = bits;
 }
 
-std::size_t StageLog::const_iterator::decode(pipeline::StageReport* out) const {
+std::size_t StageLog::const_iterator::decode(pipeline::StageReport* out, Values& bits) const {
   const std::vector<std::uint8_t>& chunk = log_->runs_.chunks()[chunk_];
   util::ByteReader in(chunk.data() + offset_, chunk.size() - offset_);
   const std::uint64_t head = in.varint_u64();
-  const Stage& stage = log_->stages_[head >> kRateBits];
+  const Stage& stage = log_->stages_[head >> kHeadBits];
   const std::uint64_t rows_in = in.varint_u64();
   const std::uint64_t rows_out = in.varint_u64();
   const std::uint64_t columns_out = in.varint_u64();
   const std::uint64_t wall_time_us = in.varint_u64();
-  const double missing_rate_in = (head & kInZero) != 0 ? 0.0 : in.f64();
-  const double missing_rate_out = (head & kOutZero) != 0 ? 0.0 : in.f64();
-  const double cost = in.f64();
+  for (std::size_t v = 0; v < bits.size(); ++v) {
+    const std::uint64_t mode = (head >> (kModeBits * v)) & kModeMask;
+    if (mode == kZero) bits[v] = 0;
+    if (mode == kStored) bits[v] = in.u64();
+  }
   if (out != nullptr) {
     out->stage_name = stage.name;
     out->player = stage.player;
@@ -65,9 +76,9 @@ std::size_t StageLog::const_iterator::decode(pipeline::StageReport* out) const {
     out->rows_in = rows_in;
     out->rows_out = rows_out;
     out->columns_out = columns_out;
-    out->missing_rate_in = missing_rate_in;
-    out->missing_rate_out = missing_rate_out;
-    out->cost = cost;
+    out->missing_rate_in = std::bit_cast<double>(bits[0]);
+    out->missing_rate_out = std::bit_cast<double>(bits[1]);
+    out->cost = std::bit_cast<double>(bits[2]);
     out->wall_time_us = wall_time_us;
   }
   return in.position();
@@ -75,12 +86,13 @@ std::size_t StageLog::const_iterator::decode(pipeline::StageReport* out) const {
 
 pipeline::StageReport StageLog::const_iterator::operator*() const {
   pipeline::StageReport out;
-  decode(&out);
+  Values bits = previous_;
+  decode(&out, bits);
   return out;
 }
 
 StageLog::const_iterator& StageLog::const_iterator::operator++() {
-  offset_ += decode(nullptr);
+  offset_ += decode(nullptr, previous_);
   if (offset_ == log_->runs_.chunks()[chunk_].size()) {
     ++chunk_;
     offset_ = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -12,15 +13,20 @@ namespace iotml::sim {
 
 /// Every stage run of a fleet, in push order. Each distinct (stage_name,
 /// player, tier) is stored once, and each run as one variable-length record
-/// in a util::RecordLog: the stage's index (with two bits marking a missing
-/// rate of +0.0), rows_in, rows_out, columns_out and wall_time_us as
-/// varints, then each nonzero missing rate and the cost as raw f64 bits.
-/// A fleet-wire run costs about 24 B, and a run owns no string. Iterating
-/// yields each pushed StageReport by value, bit for bit.
+/// in a util::RecordLog: the stage's index with a 2-bit mode for each of
+/// the two missing rates and the cost (+0.0, the previous run's bit
+/// pattern, or stored), rows_in, rows_out, columns_out and wall_time_us as
+/// varints, then each stored value as raw f64 bits. A fleet-wire run costs
+/// about 15 B, and a run owns no string. Iterating yields each pushed
+/// StageReport by value, bit for bit.
 class StageLog {
+  /// The bit patterns of a run's missing_rate_in, missing_rate_out and cost.
+  using Values = std::array<std::uint64_t, 3>;
+
  public:
-  /// Walks the runs in push order by byte offset; dereferencing decodes the
-  /// run's StageReport.
+  /// Walks the runs in push order by byte offset, carrying the previous
+  /// run's Values that the current run's modes refer to; dereferencing
+  /// decodes the run's StageReport.
   class const_iterator {
    public:
     pipeline::StageReport operator*() const;
@@ -33,13 +39,15 @@ class StageLog {
     friend class StageLog;
     const_iterator(const StageLog* log, std::size_t chunk) noexcept : log_(log), chunk_(chunk) {}
 
-    /// Decodes the run at this position into `out`, if given; returns the
-    /// run's length in bytes.
-    std::size_t decode(pipeline::StageReport* out) const;
+    /// Decodes the run at this position into `out`, if given, and its
+    /// Values into `bits`, which holds the previous run's on entry; returns
+    /// the run's length in bytes.
+    std::size_t decode(pipeline::StageReport* out, Values& bits) const;
 
     const StageLog* log_ = nullptr;
     std::size_t chunk_ = 0;
     std::size_t offset_ = 0;
+    Values previous_ = {};
   };
 
   /// Appends `report`. Throws InvalidArgument, leaving the log unchanged, if
@@ -63,6 +71,7 @@ class StageLog {
 
   std::vector<Stage> stages_;
   util::RecordLog runs_;
+  Values last_ = {};  ///< the last pushed run's
 };
 
 }  // namespace iotml::sim

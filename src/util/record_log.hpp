@@ -10,12 +10,13 @@
 namespace iotml::util {
 
 /// Append-only log of variable-length byte records, kept in chunks of about
-/// 16 KiB. A record never straddles two chunks, so each chunk decodes from
-/// its first byte; a record longer than a chunk gets a chunk of its own.
-/// An append never moves a stored byte and never holds an old and a new
-/// copy of the whole log, as a vector's regrowth does, so a run-long log
-/// costs its records' bytes plus each chunk's unused tail. Records carry no
-/// length: each user's decoder reads exactly the record it encoded.
+/// 16 KiB. A record never straddles two chunks, and a record longer than a
+/// chunk gets a chunk of its own. An append never moves a stored byte and
+/// never holds an old and a new copy of the whole log, as a vector's
+/// regrowth does, so a run-long log costs its records' bytes plus each
+/// chunk's unused tail. Records carry no length: each user's decoder reads
+/// exactly the record it encoded, and a user's deltas from the previous
+/// record chain across chunks, so the log decodes from its first byte.
 class RecordLog {
  public:
   /// Calls `encode(writer)` on the log's one reused encode buffer, emptied

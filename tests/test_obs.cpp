@@ -554,6 +554,39 @@ TEST(ObsJourney, CompactRecordsRoundTripThroughSnapshot) {
   }
 }
 
+// t0 is a delta from the previous stored hop's t0 and a stored t1 a delta
+// from its own t0: both must survive a t1 before its t0, a t1 many binades
+// or a sign away from it, and a hop equal to the previous one that opens a
+// new storage chunk, where the t0 delta is 0 and the base lives in the
+// chunk before.
+TEST(ObsJourney, TimeDeltasRoundTripAcrossSignsAndChunks) {
+  const double max = std::numeric_limits<double>::max();
+  const double times[][2] = {{5.0, 1.0},     {1e-300, 1e300}, {1e300, -1e300},
+                             {-1e300, 1e-300}, {max, -max},    {-max, 0.25},
+                             {0.25, max},    {3.0, 2.999999}};
+  std::vector<obs::HopRecord> in;
+  for (const auto& [t0, t1] : times) {
+    obs::HopRecord r = make_hop(in.size(), "delivered");
+    r.t0_s = t0;
+    r.t1_s = t1;
+    in.push_back(r);
+  }
+  // About 18 B each: 1,200 equal hops fill the first 16 KiB chunk.
+  obs::HopRecord same = make_hop(9, "timeout");
+  same.t0_s = 41.5;
+  same.t1_s = 41.625;
+  in.insert(in.end(), 1200, same);
+  obs::JourneyLog log(in.size());
+  for (const obs::HopRecord& r : in) log.record(r);
+  EXPECT_GT(log.bytes(), 16u * 1024u);  // the equal hops span two chunks
+  const std::vector<obs::HopRecord> out = log.snapshot();
+  ASSERT_EQ(out.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same_hop(out[i], in[i]);
+  }
+}
+
 TEST(ObsJourney, JsonlRendersEachStoredRecord) {
   obs::JourneyLog log(8);
   obs::HopRecord origin;

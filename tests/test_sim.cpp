@@ -125,6 +125,37 @@ TEST(Scheduler, LogIsRenderedFromPoppedEventsOnEveryRead) {
                         }));
 }
 
+// A pop's time is a delta from the previous pop's bit pattern. It must
+// survive a sign flip between equal values, a jump to the largest finite
+// time, and an event equal to the previous one that opens a new storage
+// chunk, where the delta is 0 and its base lives in the chunk before.
+TEST(Scheduler, TimeDeltasRoundTripAcrossSignsAndChunks) {
+  const double max = std::numeric_limits<double>::max();
+  const Event pushes[] = {{0.0, 0, EventKind::kArrival, 7, 3},
+                          {-0.0, 1, EventKind::kArrival, 7, 3},
+                          {max, 2, EventKind::kArrival, 7, 3}};
+  Scheduler s;
+  for (const Event& e : pushes) s.push(e.time_s, e.kind, e.target, e.message);
+  for (std::size_t i = 0; i < 3; ++i) expect_same_event(s.pop(), pushes[i], i);
+  char widest[512];
+  std::snprintf(widest, sizeof widest, "t=%.6f #2 arrival target=7 msg=3", max);
+  // The log cuts an over-long line at 127 characters.
+  EXPECT_EQ(s.log(), (std::vector<std::string>{"t=0.000000 #0 arrival target=7 msg=3",
+                                               "t=-0.000000 #1 arrival target=7 msg=3",
+                                               std::string(widest).substr(0, 127)}));
+
+  // About 5 B each: 4,000 equal pops fill the first 16 KiB chunk.
+  Scheduler same;
+  for (int i = 0; i < 4000; ++i) same.push(2.5, EventKind::kDeviceFlush, 4);
+  while (!same.empty()) same.pop();
+  EXPECT_GT(same.bytes(), 16u * 1024u);  // the equal pops span two chunks
+  const std::vector<std::string> lines = same.log();
+  ASSERT_EQ(lines.size(), 4000u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(lines[i], "t=2.500000 #" + std::to_string(i) + " device-flush target=4") << i;
+  }
+}
+
 TEST(Scheduler, EventKindNames) {
   EXPECT_EQ(event_kind_name(EventKind::kDeviceFlush), "device-flush");
   EXPECT_EQ(event_kind_name(EventKind::kArrival), "arrival");
@@ -353,6 +384,61 @@ TEST(StageLog, RunsRoundTripEveryFieldInPushOrder) {
     ++i;
   }
   EXPECT_EQ(i, pushed.size());
+}
+
+pipeline::StageReport hampel_run(double missing_rate_in, double missing_rate_out, double cost) {
+  pipeline::StageReport r;
+  r.stage_name = "clean(hampel)";
+  r.player = "device";
+  r.tier = Tier::kDevice;
+  r.rows_in = 7;
+  r.rows_out = 7;
+  r.columns_out = 4;
+  r.missing_rate_in = missing_rate_in;
+  r.missing_rate_out = missing_rate_out;
+  r.cost = cost;
+  return r;
+}
+
+// A run's rates and cost may name the previous run's bit patterns: a run
+// equal to the previous one that opens a new storage chunk decodes from
+// the values the chunk before left.
+TEST(StageLog, EqualRunsDecodeAcrossChunks) {
+  const pipeline::StageReport run = hampel_run(0.125, 0.25, 0.75);
+  StageLog log;
+  // About 5 B each: 4,000 equal runs fill the first 16 KiB chunk.
+  for (int i = 0; i < 4000; ++i) log.push_back(run);
+  EXPECT_GT(log.bytes(), 16u * 1024u);  // the equal runs span two chunks
+  std::size_t i = 0;
+  for (const pipeline::StageReport& r : log) {
+    expect_same_run(r, run, i);
+    ++i;
+  }
+  EXPECT_EQ(i, 4000u);
+}
+
+// The iterator carries the previous run's values, so a copy taken mid-walk
+// decodes the same remaining runs as the original.
+TEST(StageLog, IteratorCopiedMidWalkDecodesTheSameRuns) {
+  StageLog log;
+  std::vector<pipeline::StageReport> pushed;
+  for (std::size_t i = 0; i < 60; ++i) {
+    const double x = static_cast<double>(i);
+    pushed.push_back(hampel_run(i % 7 == 0 ? 0.01 * x : 0.5, i % 3 == 0 ? 0.0 : 0.25,
+                                i % 5 == 0 ? x : 2.0));
+    log.push_back(pushed.back());
+  }
+  StageLog::const_iterator it = log.begin();
+  for (std::size_t i = 0; i < 31; ++i) ++it;  // run 31 repeats run 30's missing_rate_in
+  const StageLog::const_iterator copy = it;
+  std::size_t i = 31;
+  for (StageLog::const_iterator c = copy; c != log.end(); ++c, ++it, ++i) {
+    ASSERT_LT(i, pushed.size());
+    expect_same_run(*c, pushed[i], i);
+    expect_same_run(*it, pushed[i], i);
+  }
+  EXPECT_EQ(i, pushed.size());
+  EXPECT_EQ(it, log.end());
 }
 
 TEST(StageLog, CountsWiderThan32BitsAreRejected) {
@@ -875,7 +961,63 @@ struct GridCase {
   /// The send path the case exists for must actually run, or its pinned
   /// digests guard nothing.
   bool (*exercised)(const FleetReport&);
+  /// The same for a path only the event log's order shows, when set.
+  bool (*exercised_in_log)(const FleetConfig&, const std::vector<std::string>&) = nullptr;
 };
+
+// Replays each edge's checkpoints, crashes, restarts and row arrivals from
+// the event log of a fire-and-forget fleet whose edges flush only at the
+// drain, which logs no event: rows land while the edge is up, a checkpoint
+// records whether the buffer held any, a crash wipes the buffer and a
+// restart restores a checkpoint that held rows. True when some edge
+// restored one checkpoint twice and some edge crashed right after it
+// checkpointed an empty buffer.
+bool restores_twice_and_crashes_after_empty_checkpoint(const FleetConfig& config,
+                                                       const std::vector<std::string>& log) {
+  struct Edge {
+    bool up = true;
+    bool rows = false;
+    bool checkpoint_rows = false;
+    int restores = 0;  ///< since the last checkpoint
+    bool empty_checkpoint_last = false;
+  };
+  std::vector<Edge> edges(config.edges);
+  bool restored_twice = false;
+  bool crashed_after_empty = false;
+  for (const std::string& line : log) {
+    std::istringstream fields(line);
+    std::string time;
+    std::string seq;
+    std::string kind;
+    std::string target;
+    fields >> time >> seq >> kind >> target;
+    const std::size_t id = std::stoul(target.substr(target.find('=') + 1));
+    if (kind == "arrival") {
+      if (id < config.devices || id >= config.devices + config.edges) continue;
+      Edge& e = edges[id - config.devices];
+      if (e.up) e.rows = true;
+      e.empty_checkpoint_last = false;
+      continue;
+    }
+    if (kind != "checkpoint" && kind != "edge-crash" && kind != "edge-restart") continue;
+    Edge& e = edges[id];
+    if (kind == "checkpoint" && e.up) {
+      e.checkpoint_rows = e.rows;
+      e.restores = 0;
+      e.empty_checkpoint_last = !e.rows;
+    } else if (kind == "edge-crash" && e.up) {
+      crashed_after_empty = crashed_after_empty || e.empty_checkpoint_last;
+      e.up = false;
+      e.rows = false;
+      e.empty_checkpoint_last = false;
+    } else if (kind == "edge-restart" && !e.up) {
+      e.up = true;
+      e.rows = e.checkpoint_rows;
+      if (e.checkpoint_rows && ++e.restores == 2) restored_twice = true;
+    }
+  }
+  return restored_twice && crashed_after_empty;
+}
 
 FleetConfig grid_fleet(std::uint64_t seed, bool observatory) {
   FleetConfig c;
@@ -1192,6 +1334,25 @@ std::vector<GridCase> digest_grid() {
                       return r.devices == 1100 && r.deploy.ota.probe_uplink_bytes > 0;
                     }});
   }
+  {
+    // Short, frequent edge crashes between checkpoints of buffers that only
+    // grow until the drain: an edge restarts twice from one checkpoint, and
+    // an edge crashes right after checkpointing before its first rows. The
+    // drain samples each buffer by its strata, restored ones included.
+    FleetConfig c = grid_fleet(115, true);
+    c.edge_flush_s = 20.0;
+    c.checkpoint_interval_s = 3.0;
+    c.faults.edge_crashes = 4.0;
+    c.faults.edge_downtime_mean_s = 0.3;
+    c.degrade.enabled = true;
+    c.degrade.pin_level = 1;
+    grid.push_back({"crash-restore-prefix-ff", c,
+                    [](const FleetReport& r) {
+                      return r.faults.checkpoints_restored > 0 &&
+                             r.degradation.windows_sampled > 0;
+                    },
+                    restores_twice_and_crashes_after_empty_checkpoint});
+  }
   return grid;
 }
 
@@ -1230,8 +1391,12 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
     FleetSim sim(gc.config);
     const FleetReport report = sim.run();
     EXPECT_TRUE(gc.exercised(report)) << gc.name << " misses the send path it pins";
+    const std::vector<std::string> log = sim.event_log();
+    if (gc.exercised_in_log != nullptr) {
+      EXPECT_TRUE(gc.exercised_in_log(gc.config, log)) << gc.name << " misses the path it pins";
+    }
     std::string events;
-    for (const std::string& line : sim.event_log()) events += line + '\n';
+    for (const std::string& line : log) events += line + '\n';
     std::string journeys = "-";
     if (sim.observatory() != nullptr) {
       std::ostringstream jsonl;
@@ -1256,7 +1421,9 @@ TEST(FleetDigest, GridMatchesPinnedBytes) {
 
 // The three run logs keep varint records. Exact byte counts, not RSS, pin
 // what a record costs on every grid fleet that records journeys: a journey
-// hop with its parents, a popped event and a stage run.
+// hop with its parents, a popped event and a stage run. Each bound is the
+// largest cost any of these fleets reads (20.2, 11.4 and 22.7 B) plus at
+// most 2 B.
 TEST(FleetDigest, LogsStayWithinTheirByteBudgets) {
   std::size_t fleets = 0;
   for (const GridCase& gc : digest_grid()) {
@@ -1268,9 +1435,9 @@ TEST(FleetDigest, LogsStayWithinTheirByteBudgets) {
     ASSERT_GT(journeys.size(), 0u) << gc.name;
     ASSERT_GT(report.events, 0u) << gc.name;
     ASSERT_GT(report.stage_reports.size(), 0u) << gc.name;
-    EXPECT_LE(journeys.bytes(), 30 * journeys.size()) << gc.name;
-    EXPECT_LE(sim.event_log_bytes(), 16 * report.events) << gc.name;
-    EXPECT_LE(report.stage_reports.bytes(), 30 * report.stage_reports.size()) << gc.name;
+    EXPECT_LE(journeys.bytes(), 22 * journeys.size()) << gc.name;
+    EXPECT_LE(sim.event_log_bytes(), 13 * report.events) << gc.name;
+    EXPECT_LE(report.stage_reports.bytes(), 24 * report.stage_reports.size()) << gc.name;
   }
   EXPECT_GT(fleets, 0u);
 }
