@@ -153,6 +153,7 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
       // stays silent — the sender sees a timeout and retransmits, so ack
       // mode *repairs* corruption instead of merely detecting it.
       ++stats_.corrupt_rejected;
+      ++outcome.corrupt_rejects;
     }
     if (acked) break;
     ++stats_.timeouts;

@@ -49,6 +49,10 @@ struct ChannelOutcome {
   bool duplicated = false;    ///< link-level straggler copy exists
   double duplicate_arrival_s = 0.0;
   std::size_t attempts = 0;   ///< payload transmissions made
+  /// Ack mode: this send's attempts the receiver checksum-rejected (each
+  /// one repaired by a retransmit or given up on). Fire-and-forget reports
+  /// its one corrupt landing through `corrupted` instead.
+  std::size_t corrupt_rejects = 0;
 };
 
 /// The transport over one Link, and the one place a frame's retries are

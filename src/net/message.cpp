@@ -58,12 +58,4 @@ std::size_t wire_size_bytes(const data::Dataset& ds) {
   return bytes;
 }
 
-std::size_t wire_size_bytes(const Message& m) {
-  if (!m.tdf_frame.empty()) {
-    // Telemetry messages: the frame is the payload, origins ride inside it.
-    return kMessageHeaderBytes + m.tdf_frame.size();
-  }
-  return kMessageHeaderBytes + wire_size_bytes(m.payload) + 8 * m.origin_s.size();
-}
-
 }  // namespace iotml::net

@@ -14,6 +14,7 @@
 #include "learners/decision_tree.hpp"
 #include "learners/logistic.hpp"
 #include "learners/naive_bayes.hpp"
+#include "net/message.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
@@ -527,6 +528,24 @@ void FleetSim::handle(const Event& event) {
   }
 }
 
+void FleetSim::Buffer::append(const data::Dataset& more, std::span<const double> origins,
+                              std::span<const std::uint64_t> more_parents) {
+  rows.append_rows(more);
+  origin_s.insert(origin_s.end(), origins.begin(), origins.end());
+  parents.insert(parents.end(), more_parents.begin(), more_parents.end());
+}
+
+void FleetSim::Buffer::check_strata_tile() const {
+  std::size_t next = 0;
+  bool contiguous = true;
+  for (const approx::Stratum& s : strata) {
+    contiguous = contiguous && s.begin == next;
+    next += s.count;
+  }
+  IOTML_INTERNAL_CHECK(contiguous && next == rows.rows(),
+                       "FleetSim: an edge buffer's strata do not tile its rows");
+}
+
 void FleetSim::handle_device_flush(const Event& event) {
   const net::NodeId d = event.target;
   const bool final_flush = event.time_s >= config_.duration_s;
@@ -553,12 +572,18 @@ void FleetSim::handle_device_flush(const Event& event) {
   if (count > 0) {
     // Local compute is unaffected by connectivity: the device cleans its
     // window even when offline, then persists the result.
-    data::Dataset chunk = tiers_.device.run(std::move(window), device_rngs_[d]);
+    out.rows = tiers_.device.run(std::move(window), device_rngs_[d]);
     for (const StageReport& r : tiers_.device.reports()) {
       report_.stage_reports.push_back(r);
     }
-    out.rows = std::move(chunk);
     out.origin_s = {event.time_s};
+    if (telemetry_on()) {
+      // The one wire-resolution site: the window leaves the device tier
+      // quantized, so its backlog sizing, its frame and the edge's decode
+      // all see the same rows (lint R13).
+      tdf::quantize(out.rows, config_.telemetry.scale_bits);
+      out.origin_s.front() = tdf::quantize_value(event.time_s, config_.telemetry.scale_bits);
+    }
     // The window's birth certificate: every downstream frame carrying these
     // rows lists this id in its parents, which is what lets fleetscope
     // reconstruct the device -> edge -> core journey after batching.
@@ -580,13 +605,11 @@ void FleetSim::handle_device_flush(const Event& event) {
   }
 
   // Online: drain the store-and-forward backlog (oldest first) together
-  // with the fresh window as one uplink message, re-encoded by send().
+  // with the fresh window as one uplink frame, re-encoded by send().
   Buffer merged;
   for (const Backlog::Chunk& pending : backlog.chunks) {
     const Buffer& b = pending.buffer;
-    merged.rows.append_rows(b.rows);
-    merged.origin_s.insert(merged.origin_s.end(), b.origin_s.begin(), b.origin_s.end());
-    merged.parents.insert(merged.parents.end(), b.parents.begin(), b.parents.end());
+    merged.append(b.rows, b.origin_s, b.parents);
   }
   backlog.chunks.clear();
   backlog.rows = 0;
@@ -594,12 +617,7 @@ void FleetSim::handle_device_flush(const Event& event) {
   if (obsy_ && merged.rows.rows() > 0) {
     obsy_->flight().note(d, event.time_s, "sf-drain", merged.rows.rows());
   }
-  if (out.rows.rows() > 0) {
-    merged.rows.append_rows(out.rows);
-    merged.origin_s.insert(merged.origin_s.end(), out.origin_s.begin(),
-                           out.origin_s.end());
-    merged.parents.insert(merged.parents.end(), out.parents.begin(), out.parents.end());
-  }
+  if (out.rows.rows() > 0) merged.append(out.rows, out.origin_s, out.parents);
   if (merged.rows.rows() == 0) return;
   send(d, std::move(merged), event.time_s);
 }
@@ -791,15 +809,9 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
   const std::size_t population = buf.rows.rows();
   auto& d = report_.degradation;
 
-  // Strata must tile the buffer exactly; anything else (defensive — e.g. a
-  // window restored from a pre-ladder checkpoint) collapses to one stratum.
-  std::size_t tiled = 0;
-  for (const approx::Stratum& s : buf.strata) tiled += s.count;
-  std::vector<approx::Stratum> strata = buf.strata;
-  if (strata.empty() || tiled != population) {
-    strata.assign(1, approx::Stratum{static_cast<std::uint32_t>(edge_index), 0,
-                                     population});
-  }
+  buf.check_strata_tile();
+  // A copy: the sample below replaces `buf`, strata and all.
+  const std::vector<approx::Stratum> strata = buf.strata;
 
   // Sample live rows only, stratum by stratum. Missing cells carry no
   // analytic value (downstream would impute them), and with contiguous-run
@@ -899,13 +911,8 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
       // summaries from many edges in any order; the retained sample doubles
       // as the CI input.
       approx::CountMinSketch tally(kCountMinWidth, kCountMinDepth, config_.seed);
-      std::size_t tiled = 0;
-      for (const approx::Stratum& s : buf.strata) tiled += s.count;
-      if (!buf.strata.empty() && tiled == population) {
-        for (const approx::Stratum& s : buf.strata) tally.add(s.key, s.count);
-      } else {
-        tally.add(e, population);
-      }
+      buf.check_strata_tile();
+      for (const approx::Stratum& s : buf.strata) tally.add(s.key, s.count);
       approx::QuantileSketch quant(kSketchCapacity, config_.seed);
       const data::Column& col = buf.rows.column(1);
       const std::uint64_t key_base = static_cast<std::uint64_t>(e) << 32;
@@ -937,8 +944,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
       cost = kSketchCostBase + kSketchCostPerRow * static_cast<double>(population);
     } else {
       // L3 summary-only: the edge reports a bare row count and sheds the
-      // window; fresh deploy artifacts also stop relaying through it (see
-      // handle_artifact_arrival).
+      // window.
       ++d.windows_summary;
       cost = 0.01;
     }
@@ -1040,6 +1046,13 @@ void FleetSim::degrade_settle(double now_s) {
       degrade_update(e, t, approx::DegradeSignals{});
     }
   }
+  // The deploy phase runs after this, so no edge holds back an artifact
+  // relay: every free ladder is back at L0, and a ladder pinned at L3 shed
+  // every row, so the core has nothing to compile.
+  for (const approx::DegradationController& ctrl : degrade_ctrl_) {
+    IOTML_INTERNAL_CHECK(ctrl.pinned() || ctrl.level() == approx::DegradeLevel::kExact,
+                         "FleetSim: a free degradation ladder did not settle at L0");
+  }
 }
 
 void FleetSim::finalize_degradation() {
@@ -1085,71 +1098,51 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const bool from_device = from < config_.devices;
   const bool ack = config_.channel.mode == net::ChannelMode::kAckRetry;
 
-  std::vector<std::uint64_t> parents = std::move(chunk.parents);
-
-  net::Message msg;
-  msg.src = from;
-  msg.dst = to;
-  msg.sent_s = now_s;
-  msg.trace.id = next_trace_++;
-  msg.trace.hop = from_device ? 0 : 1;
-  msg.origin_s = std::move(chunk.origin_s);
-  msg.payload = std::move(chunk.rows);
-  bool tdf_open = false;
-  std::size_t tdf_legacy_bytes = 0;
-  if (telemetry_on() && from_device) {
-    // The device-side codec: quantize to the wire resolution (idempotent —
-    // rows resent from store-and-forward are already quantized), price the
-    // counterfactual legacy model over the same rows, then encode the real
-    // frame. The checksum is stamped over the quantized rows, which is what
-    // the edge's decode must reproduce byte-for-byte.
-    tdf::quantize(msg.payload, config_.telemetry.scale_bits);
-    for (double& o : msg.origin_s) {
-      o = tdf::quantize_value(o, config_.telemetry.scale_bits);
-    }
-    tdf_legacy_bytes = net::kMessageHeaderBytes +
-                       net::wire_size_bytes(msg.payload) +
-                       8 * msg.origin_s.size();
-    tdf_open = tdf_session_open_[from] == 0;
-    msg.tdf_frame = telemetry_encode(from, msg.payload, msg.origin_s);
-  }
-  msg.checksum = net::payload_checksum(msg.payload);
-  const std::size_t bytes = net::wire_size_bytes(msg);
+  RowsInFlight flight{.sent = std::move(chunk),
+                      .trace = next_trace_++,
+                      .hop = static_cast<std::uint16_t>(from_device ? 0 : 1),
+                      .src = from,
+                      .sent_s = now_s};
+  const Buffer& sent = flight.sent;
+  // The abstract payload model: header, rows and 8 bytes per origin stamp.
+  // A telemetry device ships its real TDF frame instead (the origins ride
+  // inside it), and the ledger charges the model over the same rows as the
+  // counterfactual. The checksum is stamped over the rows the edge's decode
+  // must reproduce byte for byte.
+  const std::size_t model_bytes = net::kMessageHeaderBytes + net::wire_size_bytes(sent.rows) +
+                                  8 * sent.origin_s.size();
+  const bool tdf_msg = telemetry_on() && from_device;
+  const bool tdf_open = tdf_msg && tdf_session_open_[from] == 0;
+  if (tdf_msg) flight.tdf = telemetry_encode(from, sent.rows, sent.origin_s);
+  flight.checksum = net::payload_checksum(sent.rows);
+  const std::size_t bytes = tdf_msg ? net::kMessageHeaderBytes + flight.tdf.size() : model_bytes;
   const Frame frame{.stream = obs::HopStream::kRows,
-                    .hop = msg.trace.hop,
+                    .hop = flight.hop,
                     .src = from,
                     .dst = to,
                     .bytes = bytes,
                     .rows = rows,
-                    .parents = parents,
+                    .parents = sent.parents,
                     .message = next_row_frame_,
                     .corrupt_lands = true,
-                    .trace = msg.trace.id};
+                    .trace = flight.trace};
 
-  // Put the rows back where they can survive after a failed reliable send:
-  // a device store-and-forwards (or loses the window without a buffer), an
-  // edge re-appends to its batch buffer for the next flush.
+  // A failed reliable send hands the rows back whole: a device
+  // store-and-forwards them (or loses them without a buffer), an edge
+  // re-appends them to its batch buffer for the next flush.
   auto keep_rows = [&](bool dead_letter) {
-    if (from_device) {
-      if (config_.device_buffer_rows > 0) {
-        Buffer back;
-        back.rows = std::move(msg.payload);
-        back.origin_s = std::move(msg.origin_s);
-        back.parents = std::move(parents);
-        store(from, std::move(back));
-      } else if (dead_letter) {
-        report_.faults.rows_buffer_evicted += rows;
-      } else {
-        report_.rows_lost += rows;
-      }
-    } else {
+    if (!from_device) {
       Buffer& buf = edge_buffers_[from - config_.devices];
       if (degrade_on()) {
         buf.strata.push_back({static_cast<std::uint32_t>(from), buf.rows.rows(), rows});
       }
-      buf.rows.append_rows(msg.payload);
-      buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
-      buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
+      buf.append(sent.rows, sent.origin_s, sent.parents);
+    } else if (config_.device_buffer_rows > 0) {
+      store(from, std::move(flight.sent));
+    } else if (dead_letter) {
+      report_.faults.rows_buffer_evicted += rows;
+    } else {
+      report_.rows_lost += rows;
     }
   };
   auto note_send = [&](const char* outcome) {
@@ -1167,16 +1160,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     return;
   }
 
-  const bool tdf_msg = !msg.tdf_frame.empty();
-  // Ack-mode channels repair corrupt frames internally (reject + retransmit
-  // before the outcome surfaces); snapshot the stats so those repairs land
-  // in the telemetry ledger.
-  std::uint64_t tdf_pre_rejects = 0;
-  std::uint64_t tdf_pre_retrans = 0;
-  if (tdf_msg && ack) {
-    tdf_pre_rejects = channels_[link_index].stats().corrupt_rejected;
-    tdf_pre_retrans = channels_[link_index].stats().retransmits;
-  }
   const net::ChannelOutcome out = send_frame(frame, now_s);
   note_send(send_label(out, config_.channel.mode));
   if (degrade_on()) {
@@ -1189,14 +1172,15 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     degrade_queue_hint_[ei] = std::max(degrade_queue_hint_[ei], frac);
   }
   if (tdf_msg && ack) {
-    report_.telemetry.frames_rejected +=
-        channels_[link_index].stats().corrupt_rejected - tdf_pre_rejects;
-    report_.telemetry.frames_retransmitted +=
-        channels_[link_index].stats().retransmits - tdf_pre_retrans;
+    // Ack-mode channels repair corrupt frames (reject, then retransmit)
+    // before the outcome surfaces; this send's repairs land in the
+    // telemetry ledger. A frame that never reached the wire made 0 attempts.
+    report_.telemetry.frames_rejected += out.corrupt_rejects;
+    report_.telemetry.frames_retransmitted += std::max<std::size_t>(out.attempts, 1) - 1;
   }
   ++report_.messages_sent;
   if (!out.accepted) {
-    // Backpressure: the bounded send queue refused the message.
+    // Backpressure: the bounded send queue refused the frame.
     ++report_.messages_dropped;
     flight_dump(from, "dead-letter", now_s);
     if (degrade_on()) {
@@ -1212,7 +1196,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     ++t.frames_sent;
     t.rows_encoded += rows;
     t.encoded_wire_bytes += bytes;
-    t.legacy_wire_bytes += tdf_legacy_bytes;
+    t.legacy_wire_bytes += model_bytes;
     if (tdf_open) {
       // Session negotiation: the schema rides inline (2-byte length prefix +
       // blob) until one frame is known delivered intact.
@@ -1230,23 +1214,20 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     }
     return;
   }
-  // The frame landed (its arrival events are queued): hold it until the
-  // last of them has.
-  msg.id = frame.message;
   if (out.corrupted) {
     // Fire-and-forget only: the frame lands, but the wire flipped bits, so
     // the stamped checksum no longer matches what the receiver recomputes.
     if (tdf_msg) {
       // Wire damage hits the frame bytes themselves; the FNV-1a32 trailer
       // no longer matches and the edge rejects without decoding a cell.
-      msg.tdf_frame[msg.tdf_frame.size() / 2] ^= 0x10;
+      flight.tdf[flight.tdf.size() / 2] ^= 0x10;
     }
-    msg.checksum ^= 1;
+    flight.checksum ^= 1;
   }
-  rows_in_flight_.emplace(frame.message,
-                          RowsInFlight{.frame = std::move(msg),
-                                       .parents = std::move(parents),
-                                       .copies_left = out.duplicated ? 2 : 1});
+  // The frame landed (its arrival events are queued): hold it until the
+  // last of them has.
+  flight.copies_left = out.duplicated ? 2 : 1;
+  rows_in_flight_.emplace(frame.message, std::move(flight));
   ++next_row_frame_;
 }
 
@@ -1277,104 +1258,90 @@ void FleetSim::land_row_frame(const Event& event) {
   const auto it = rows_in_flight_.find(event.message);
   IOTML_INTERNAL_CHECK(it != rows_in_flight_.end(),
                        "FleetSim: a row frame landed more copies than were sent");
-  RowsInFlight& entry = it->second;
-  const net::Message& msg = entry.frame;
-  if (entry.landed) {
+  RowsInFlight& frame = it->second;
+  if (frame.landed) {
     ++report_.duplicates_discarded;
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, event.target,
-                   event.time_s, msg.payload.rows(), "duplicate");
+    journey_arrive(frame.trace, obs::HopStream::kRows, frame.hop, event.target,
+                   event.time_s, frame.sent.rows.rows(), "duplicate");
   } else if (event.kind == EventKind::kArrival) {
-    handle_arrival(event, msg, entry.parents);
+    handle_arrival(event, frame);
   } else {
-    handle_corrupt_arrival(event, msg);
+    handle_corrupt_arrival(event, frame);
   }
-  entry.landed = true;
-  if (--entry.copies_left == 0) rows_in_flight_.erase(event.message);
+  frame.landed = true;
+  if (--frame.copies_left == 0) rows_in_flight_.erase(event.message);
 }
 
-void FleetSim::handle_arrival(const Event& event, const net::Message& msg,
-                              std::span<const std::uint64_t> parents) {
+void FleetSim::handle_arrival(const Event& event, const RowsInFlight& frame) {
   const net::NodeId node = event.target;
+  const Buffer& sent = frame.sent;
+  const std::size_t rows = sent.rows.rows();
   // Receivers verify every frame: an intact arrival must re-hash to its
   // stamped checksum (corrupt frames come in as kCorruptArrival instead).
-  IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) == msg.checksum,
+  IOTML_INTERNAL_CHECK(net::payload_checksum(sent.rows) == frame.checksum,
                        "FleetSim: intact arrival failed checksum verification");
   if (!topo_.node(node).up) {
     // The receiver crashed while the frame was in flight: nobody is
     // listening, and the rows die with the dead node.
-    report_.faults.rows_lost_to_crash += msg.payload.rows();
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                   event.time_s, msg.payload.rows(), "dead_receiver");
+    report_.faults.rows_lost_to_crash += rows;
+    journey_arrive(frame.trace, obs::HopStream::kRows, frame.hop, node, event.time_s, rows,
+                   "dead_receiver");
     return;
   }
-  const double hop_latency_s = event.time_s - msg.sent_s;
-  journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                 event.time_s, msg.payload.rows(), "accepted");
+  const double hop_latency_s = event.time_s - frame.sent_s;
+  journey_arrive(frame.trace, obs::HopStream::kRows, frame.hop, node, event.time_s, rows,
+                 "accepted");
+  if (obsy_) {
+    obsy_->flight().note(node, event.time_s, "rx-rows", rows, frame.trace);
+    record_series(NodeSeries::kUplinkLatency, node, event.time_s, hop_latency_s);
+    record_series(NodeSeries::kUplinkRows, node, event.time_s, static_cast<double>(rows));
+  }
   if (node == topo_.core()) {
     lat_edge_core_.record(hop_latency_s);
-    for (double origin : msg.origin_s) lat_end_to_end_.record(event.time_s - origin);
-    if (obsy_) {
-      obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      record_series(NodeSeries::kUplinkLatency, node, event.time_s, hop_latency_s);
-      record_series(NodeSeries::kUplinkRows, node, event.time_s,
-             static_cast<double>(msg.payload.rows()));
-    }
-    report_.rows_delivered += msg.payload.rows();
-    core_buffer_.rows.append_rows(msg.payload);
-  } else {
-    lat_device_edge_.record(hop_latency_s);
-    if (obsy_) {
-      obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      record_series(NodeSeries::kUplinkLatency, node, event.time_s, hop_latency_s);
-      record_series(NodeSeries::kUplinkRows, node, event.time_s,
-             static_cast<double>(msg.payload.rows()));
-    }
-    Buffer& buf = edge_buffers_[node - config_.devices];
-    if (degrade_on()) {
-      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.rows.rows(),
-                            msg.payload.rows()});
-    }
-    if (!msg.tdf_frame.empty()) {
-      // The decode is load-bearing: the edge reconstructs the rows from the
-      // wire bytes and feeds *those* into its sub-pipeline. The
-      // reconstruction must hash to the checksum the device stamped over
-      // what it encoded — decode errors can never slip downstream.
-      tdf::Frame f = tdf::decode_frame(msg.tdf_frame, tdf_registry_);
-      IOTML_INTERNAL_CHECK(
-          net::payload_checksum(f.rows) == msg.checksum,
-          "FleetSim: TDF decode does not reproduce the device's rows");
-      ++report_.telemetry.frames_delivered;
-      report_.telemetry.rows_decoded += f.rows.rows();
-      buf.rows.append_rows(f.rows);
-      buf.origin_s.insert(buf.origin_s.end(), f.origin_s.begin(),
-                          f.origin_s.end());
-    } else {
-      buf.rows.append_rows(msg.payload);
-      buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
-    }
-    buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
+    for (double origin : sent.origin_s) lat_end_to_end_.record(event.time_s - origin);
+    report_.rows_delivered += rows;
+    core_buffer_.rows.append_rows(sent.rows);
+    return;
   }
+  lat_device_edge_.record(hop_latency_s);
+  Buffer& buf = edge_buffers_[node - config_.devices];
+  if (degrade_on()) {
+    buf.strata.push_back({static_cast<std::uint32_t>(frame.src), buf.rows.rows(), rows});
+  }
+  if (frame.tdf.empty()) {
+    buf.append(sent.rows, sent.origin_s, sent.parents);
+    return;
+  }
+  // The decode is load-bearing: the edge reconstructs the rows from the
+  // wire bytes and feeds *those* into its sub-pipeline. The reconstruction
+  // must hash to the checksum the device stamped over what it encoded —
+  // decode errors can never slip downstream.
+  const tdf::Frame f = tdf::decode_frame(frame.tdf, tdf_registry_);
+  IOTML_INTERNAL_CHECK(net::payload_checksum(f.rows) == frame.checksum,
+                       "FleetSim: TDF decode does not reproduce the device's rows");
+  ++report_.telemetry.frames_delivered;
+  report_.telemetry.rows_decoded += f.rows.rows();
+  buf.append(f.rows, f.origin_s, sent.parents);
 }
 
-void FleetSim::handle_corrupt_arrival(const Event& event, const net::Message& msg) {
+void FleetSim::handle_corrupt_arrival(const Event& event, const RowsInFlight& frame) {
   const net::NodeId node = event.target;
+  const std::size_t rows = frame.sent.rows.rows();
   // The receiver recomputes the checksum over what the wire delivered and
   // rejects the frame on mismatch: corrupt rows are counted, never scored.
-  IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) != msg.checksum,
+  IOTML_INTERNAL_CHECK(net::payload_checksum(frame.sent.rows) != frame.checksum,
                        "FleetSim: corrupt arrival passed checksum verification");
-  if (!msg.tdf_frame.empty()) {
+  if (!frame.tdf.empty()) {
     // The damage lives in the frame bytes: the trailer checksum must catch
     // it before a decode is even attempted.
-    IOTML_INTERNAL_CHECK(!tdf::frame_intact(msg.tdf_frame),
+    IOTML_INTERNAL_CHECK(!tdf::frame_intact(frame.tdf),
                          "FleetSim: corrupt TDF frame passed its trailer check");
     ++report_.telemetry.frames_rejected;
   }
-  report_.faults.rows_corrupt_rejected += msg.payload.rows();
-  journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                 event.time_s, msg.payload.rows(), "corrupt_rejected");
-  if (obsy_) {
-    obsy_->flight().note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
-  }
+  report_.faults.rows_corrupt_rejected += rows;
+  journey_arrive(frame.trace, obs::HopStream::kRows, frame.hop, node, event.time_s, rows,
+                 "corrupt_rejected");
+  if (obsy_) obsy_->flight().note(node, event.time_s, "rx-corrupt", rows, frame.trace);
 }
 
 namespace {
@@ -1504,16 +1471,8 @@ std::vector<std::uint8_t> FleetSim::telemetry_encode(
 
 void FleetSim::store(net::NodeId device, Buffer&& chunk) {
   Backlog& backlog = backlogs_[device];
-  std::size_t bytes = 0;
-  if (telemetry_on()) {
-    // Quantize on entry so the sizing encode sees exactly what a later send
-    // re-encodes (quantization is idempotent).
-    tdf::quantize(chunk.rows, config_.telemetry.scale_bits);
-    for (double& o : chunk.origin_s) {
-      o = tdf::quantize_value(o, config_.telemetry.scale_bits);
-    }
-    bytes = telemetry_encode(device, chunk.rows, chunk.origin_s).size();
-  }
+  const std::size_t bytes =
+      telemetry_on() ? telemetry_encode(device, chunk.rows, chunk.origin_s).size() : 0;
   backlog.rows += chunk.rows.rows();
   backlog.bytes += bytes;
   backlog.chunks.push_back({std::move(chunk), bytes});
@@ -1855,13 +1814,6 @@ void FleetSim::handle_artifact_arrival(const Event& event) {
     // strands the broadcast; its devices end up in devices_missed).
     if (!topo_.node(node).up) return;
     const std::size_t j = node - config_.devices;
-    if (degrade_on() &&
-        degrade_ctrl_[j].level() == approx::DegradeLevel::kSummary) {
-      // L3 summary-only: the edge sheds artifact relays along with rows; its
-      // devices keep serving the stale fallback (or land in devices_missed).
-      ++report_.degradation.artifact_relays_skipped;
-      return;
-    }
     for (std::size_t i = 0; i < config_.devices; ++i) {
       if (i % config_.edges == j) send_artifact(topo_.device(i), event.time_s);
     }
@@ -1888,9 +1840,7 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   if (count == 0) return;
 
   // The rows scored are also the counterfactual payload below.
-  net::Message raw;
-  raw.payload = windows_.rest(device);
-  const data::Dataset& rows = raw.payload;
+  const data::Dataset rows = windows_.rest(device);
   runtime.bind(rows);
   PredBatch batch;
   batch.device = device;
@@ -1904,9 +1854,8 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   // Counterfactual: what uplinking these raw rows (the pre-deployment
   // regime) would have cost. The payload crosses both hops; edge batching
   // would amortize the second header, which this deliberately ignores —
-  // the payload bytes dominate.
-  raw.origin_s = {now_s};
-  d.uplink_raw_bytes += 2 * net::wire_size_bytes(raw);
+  // the payload bytes dominate. The one origin stamp costs 8 bytes.
+  d.uplink_raw_bytes += 2 * (net::kMessageHeaderBytes + net::wire_size_bytes(rows) + 8);
 
   // One bit per prediction on the wire, plus a u32 row count. Ground truth
   // never travels: the core evaluates against labels it already knows.

@@ -19,7 +19,6 @@
 #include "deploy/compiled_model.hpp"
 #include "deploy/runtime.hpp"
 #include "net/channel.hpp"
-#include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
@@ -118,8 +117,7 @@ struct TelemetryConfig {
 ///                 carries a 95% confidence interval
 ///   L2 sketch   — the window collapses to mergeable sketches (count-min +
 ///                 bottom-k quantile); only a fixed-size summary uplinks
-///   L3 summary  — row counts only; deploy artifact relays pause so devices
-///                 fall back to the stale model
+///   L3 summary  — row counts only; every row is shed
 ///
 /// Off by default. When off, no controller exists, no degrade stream is
 /// drawn from, and runs are byte-identical to pre-ladder builds. When on
@@ -273,27 +271,45 @@ class FleetSim {
   }
 
  private:
+  /// The one row container from the device flush to the core: a device
+  /// window, a device backlog chunk, an edge batch, a checkpoint's restore
+  /// slot and the rows of a frame in flight.
   struct Buffer {
     data::Dataset rows;
+    /// The flush time of every device window folded into `rows`, so the
+    /// core can account end-to-end latency even after edge batching.
     std::vector<double> origin_s;
     /// Origin-window trace ids folded into `rows`, in fold order — the
     /// causal provenance the journey log needs to survive edge batching,
     /// store-and-forward and checkpoint restore.
     std::vector<std::uint64_t> parents;
-    /// Contiguous per-sender row runs (maintained only when degradation is
-    /// enabled) — the strata L1 sampling draws from, so every device keeps
-    /// representation in the sampled window.
+    /// Per-sender row runs of an edge buffer (maintained only when
+    /// degradation is enabled): every append to an edge buffer pushes its
+    /// run, so they tile `rows` in order. L1 sampling draws from them, so
+    /// every device keeps representation in the sampled window.
     std::vector<approx::Stratum> strata;
+
+    /// Appends rows with their origin stamps and parents: the one way rows
+    /// join a buffer.
+    void append(const data::Dataset& more, std::span<const double> origins,
+                std::span<const std::uint64_t> more_parents);
+    /// Throws InternalError unless `strata` are contiguous runs that cover
+    /// `rows` in order.
+    void check_strata_tile() const;
   };
 
   /// A row frame from its send until the last of its scheduled copies
-  /// lands: the original, plus a straggler when the link duplicated it.
+  /// lands (the original, plus a straggler when the link duplicated it):
+  /// the sender's buffer plus its wire stamp. The trace id and hop ride
+  /// inside net::kMessageHeaderBytes.
   struct RowsInFlight {
-    net::Message frame;
-    /// Origin-window trace ids folded into the frame. Kept off the wire
-    /// struct: receivers inherit provenance locally, the frame only carries
-    /// the 10-byte TraceContext.
-    std::vector<std::uint64_t> parents;
+    Buffer sent;                      ///< the rows as the sender shipped them
+    std::uint64_t checksum = 0;       ///< net::payload_checksum(sent.rows) at send
+    std::vector<std::uint8_t> tdf{};  ///< the TDF frame; empty unless a telemetry device sent
+    std::uint64_t trace = 0;          ///< journey trace id, kept across retries
+    std::uint16_t hop = 0;            ///< 0 device->edge, 1 edge->core
+    net::NodeId src = 0;              ///< the sender
+    double sent_s = 0.0;
     int copies_left = 1;    ///< scheduled copies still to land
     bool landed = false;    ///< a copy landed; later ones are duplicates
   };
@@ -306,9 +322,8 @@ class FleetSim {
   /// copy is accepted or rejected, a later one counts as a duplicate, and
   /// the last erases the frame's in-flight entry.
   void land_row_frame(const Event& event);
-  void handle_arrival(const Event& event, const net::Message& msg,
-                      std::span<const std::uint64_t> parents);
-  void handle_corrupt_arrival(const Event& event, const net::Message& msg);
+  void handle_arrival(const Event& event, const RowsInFlight& frame);
+  void handle_corrupt_arrival(const Event& event, const RowsInFlight& frame);
   void send(net::NodeId from, Buffer&& chunk, double now_s);
   void finalize();
   int truth_label(double time_s) const;
@@ -365,15 +380,15 @@ class FleetSim {
   };
   /// Buffers a chunk that missed the uplink (offline at flush, or a failed
   /// send) in `device`'s backlog: the only place a device chunk is stored or
-  /// evicted. In telemetry runs the chunk is quantized and sized by its
-  /// encoded frame. Whole chunks then leave oldest first, the newest always
-  /// kept: while the bytes exceed telemetry.device_log_bytes, then (after
-  /// the high-water is sampled) while the rows exceed device_buffer_rows.
+  /// evicted. In telemetry runs the chunk is sized by its encoded frame.
+  /// Whole chunks then leave oldest first, the newest always kept: while the
+  /// bytes exceed telemetry.device_log_bytes, then (after the high-water is
+  /// sampled) while the rows exceed device_buffer_rows.
   void store(net::NodeId device, Buffer&& chunk);
 
   // Telemetry wire path (config_.telemetry.enabled; see DESIGN.md §15).
   bool telemetry_on() const noexcept { return config_.telemetry.enabled; }
-  /// Encode `ds` (already quantized) as `device`'s next TDF frame. The
+  /// Encode `ds` (quantized at its flush) as `device`'s next TDF frame. The
   /// schema rides inline until one frame is known delivered — the session
   /// negotiation — and is registered edge-side on first use.
   std::vector<std::uint8_t> telemetry_encode(net::NodeId device,

@@ -112,9 +112,7 @@ void write_degradation(std::ostream& out, const DegradationLedger& d,
       << ", \"down\": " << d.transitions_down << "},\n";
   out << ind << "\"summaries\": {\"sent\": " << d.summaries_sent
       << ", \"delivered\": " << d.summaries_delivered
-      << ", \"bytes\": " << d.summary_bytes
-      << ", \"artifact_relays_skipped\": " << d.artifact_relays_skipped
-      << "},\n";
+      << ", \"bytes\": " << d.summary_bytes << "},\n";
   out << ind << "\"ci\": {\"windows\": " << d.ci_windows
       << ", \"covered\": " << d.ci_covered
       << ", \"coverage\": " << json_number(d.coverage())
@@ -445,7 +443,6 @@ void publish_counters(const FleetReport& report) {
       {"sim.recovery.stale_model_serves", d.devices_stale},
       {"sim.degrade.transitions",
        report.degradation.transitions_up + report.degradation.transitions_down},
-      {"sim.degrade.artifact_relays_skipped", report.degradation.artifact_relays_skipped},
       {"deploy.devices_deployed", d.devices_deployed},
       {"deploy.downlink_bytes", d.downlink_bytes},
       {"deploy.rows_scored", d.rows_scored},

@@ -311,10 +311,6 @@ struct DegradationLedger {
   std::uint64_t summaries_delivered = 0;  ///< ... that reached the core
   std::uint64_t summary_bytes = 0;        ///< encoded summary payload bytes
 
-  /// L3 edges skip relaying fresh deploy artifacts; their devices serve the
-  /// stale fallback instead (extends DeployConfig::stale_fallback).
-  std::uint64_t artifact_relays_skipped = 0;
-
   double duration_s = 0.0;  ///< run length, for timeline rendering
 
   // Realized-error bookkeeping over every CI-carrying window.

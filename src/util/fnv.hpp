@@ -7,7 +7,7 @@ namespace iotml {
 
 /// FNV-1a, the repo's one non-cryptographic integrity hash. Three call sites
 /// share this header so their constants can never drift apart: the
-/// net::Message payload checksum (64-bit, word-fed), the deploy artifact
+/// net::payload_checksum row-frame stamp (64-bit, word-fed), the deploy artifact
 /// trailer (32-bit over the encoded bytes) and the ota patch codec (32-bit
 /// per chunk and per image). It catches truncation and bit rot on the
 /// simulated wire; it is not a defense against an adversary.

@@ -160,11 +160,52 @@ TEST(WireSize, MissingCellsCostOnlyBitmapBits) {
   EXPECT_EQ(wire_size_bytes(full) - wire_size_bytes(holes), 8u * 8u);
 }
 
-TEST(WireSize, MessageAddsHeaderAndOrigins) {
-  Message m;
-  m.origin_s = {1.0, 2.0, 3.0};
-  EXPECT_EQ(wire_size_bytes(m),
-            kMessageHeaderBytes + wire_size_bytes(m.payload) + 24u);
+// ---- Channel -----------------------------------------------------------------
+
+// Each send reports its own repairs, so a sender can ledger them without
+// diffing the channel's totals around the send. Over many ack-mode sends
+// under loss and corruption, some refused by the full queue and some made
+// while the link is down, the per-send counts add up to the totals.
+TEST(Channel, EachSendReportsItsOwnRejectsAndRetransmits) {
+  const LinkParams lossy{.drop_prob = 0.3, .corrupt_prob = 0.3};
+  ChannelParams params;
+  params.mode = ChannelMode::kAckRetry;
+  params.max_attempts = 5;
+  params.queue_capacity = 4;
+  Link ack_link("ack", lossy);
+  Channel ack(ack_link, params);
+  Rng rng(11);
+  std::uint64_t rejects = 0;
+  std::uint64_t retransmits = 0;
+  std::size_t wired = 0;  ///< sends that reached the wire
+  constexpr int kSends = 400;
+  for (int i = 0; i < kSends; ++i) {
+    ack_link.set_up(i % 50 != 7);
+    const ChannelOutcome out = ack.send(0.05 * i, 64, rng);
+    rejects += out.corrupt_rejects;
+    if (out.attempts > 0) {
+      retransmits += out.attempts - 1;
+      ++wired;
+    }
+  }
+  EXPECT_EQ(rejects, ack.stats().corrupt_rejected);
+  EXPECT_EQ(retransmits, ack.stats().retransmits);
+  EXPECT_GT(ack.stats().corrupt_rejected, 0u);
+  EXPECT_GT(ack.stats().retransmits, 0u);
+  EXPECT_GT(ack.stats().dead_letters, 0u);
+  EXPECT_LT(wired, static_cast<std::size_t>(kSends));
+
+  // Fire-and-forget repairs nothing: a corrupt landing shows as `corrupted`.
+  Link ff_link("ff", lossy);
+  Channel ff(ff_link, {});
+  std::uint64_t corrupted = 0;
+  for (int i = 0; i < kSends; ++i) {
+    const ChannelOutcome out = ff.send(0.05 * i, 64, rng);
+    EXPECT_EQ(out.corrupt_rejects, 0u);
+    corrupted += out.corrupted ? 1 : 0;
+  }
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_EQ(corrupted, ff.stats().corrupt_rejected);
 }
 
 // ---- Topology ----------------------------------------------------------------

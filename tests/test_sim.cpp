@@ -1483,7 +1483,6 @@ std::map<std::string, std::uint64_t> published_sources(const FleetReport& r) {
                   {"sim.recovery.stale_model_serves", r.deploy.devices_stale},
                   {"sim.degrade.transitions",
                    r.degradation.transitions_up + r.degradation.transitions_down},
-                  {"sim.degrade.artifact_relays_skipped", r.degradation.artifact_relays_skipped},
                   {"deploy.devices_deployed", r.deploy.devices_deployed},
                   {"deploy.downlink_bytes", r.deploy.downlink_bytes},
                   {"deploy.rows_scored", r.deploy.rows_scored},
@@ -1539,12 +1538,8 @@ TEST(FleetDigest, CountersMatchTheReport) {
       if (value > 0) moved.insert(family);
     }
   }
-  // The 43 fixed names and the per-link family: 44 published counters. No
-  // run has an L3 edge with an artifact to relay (degrade_settle walks a
-  // free ladder back to L0 before the deploy phase, and a ladder pinned at
-  // L3 delivers no rows to train on), so that one counter stays at zero.
-  EXPECT_EQ(published.size(), 44u);
-  published.erase("sim.degrade.artifact_relays_skipped");
+  // The 42 fixed names and the per-link family: 43 published counters.
+  EXPECT_EQ(published.size(), 43u);
   EXPECT_EQ(moved, published);
 }
 

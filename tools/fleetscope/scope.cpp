@@ -470,7 +470,6 @@ bool parse_degradation(std::istream& in, DegradeFile& out, std::string& error) {
     out.summaries_sent = summaries->u64_or("sent", 0);
     out.summaries_delivered = summaries->u64_or("delivered", 0);
     out.summary_bytes = summaries->u64_or("bytes", 0);
-    out.artifact_relays_skipped = summaries->u64_or("artifact_relays_skipped", 0);
   }
   if (const Json* ci = root.find("ci"); ci != nullptr) {
     out.ci_windows = ci->u64_or("windows", 0);
@@ -927,14 +926,13 @@ std::string render_degradation(const DegradeFile& d) {
   char rows[224];
   std::snprintf(rows, sizeof rows,
                 "rows: exact %llu, approx %llu (%llu sampled out); summaries "
-                "%llu sent / %llu delivered, %llu B, %llu relays skipped",
+                "%llu sent / %llu delivered, %llu B",
                 static_cast<unsigned long long>(d.rows_exact),
                 static_cast<unsigned long long>(d.rows_approx),
                 static_cast<unsigned long long>(d.rows_sampled_out),
                 static_cast<unsigned long long>(d.summaries_sent),
                 static_cast<unsigned long long>(d.summaries_delivered),
-                static_cast<unsigned long long>(d.summary_bytes),
-                static_cast<unsigned long long>(d.artifact_relays_skipped));
+                static_cast<unsigned long long>(d.summary_bytes));
   out << rows << "\n";
   if (d.ci_windows > 0) {
     char ci[224];

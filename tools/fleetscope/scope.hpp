@@ -194,7 +194,6 @@ struct DegradeFile {
   std::uint64_t summaries_sent = 0;
   std::uint64_t summaries_delivered = 0;
   std::uint64_t summary_bytes = 0;
-  std::uint64_t artifact_relays_skipped = 0;
   std::uint64_t ci_windows = 0;
   std::uint64_t ci_covered = 0;
   double coverage = 0.0;

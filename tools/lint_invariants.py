@@ -78,6 +78,12 @@ R12 worker-allocation     The body of a lambda passed to
                           workers write only into memory the constructing
                           thread allocated, so every device-window block is
                           allocated and freed by one thread (DESIGN.md §9).
+R13 one-wire-resolution   tdf::quantize( and tdf::quantize_value( are called
+                          in src/sim/ only inside FleetSim::handle_device_flush
+                          — a telemetry window is quantized once, where the
+                          device tier returns it, so its backlog sizing, its
+                          frame and the edge's decode all see the same rows
+                          and no later site re-quantizes them (DESIGN.md §15).
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -522,6 +528,44 @@ def check_worker_allocation(src: Path) -> list[str]:
     return problems
 
 
+QUANTIZE_CALL = re.compile(r"\btdf::quantize(?:_value)?\s*\(")
+QUANTIZE_HOME = re.compile(r"\bFleetSim::handle_device_flush\s*\(")
+
+
+def definition_spans(code: str, head: re.Pattern) -> list[tuple[int, int]]:
+    """(start, end) of the {...} body of every definition whose name matches `head`."""
+    spans = []
+    for m in head.finditer(code):
+        params = balanced_parens(code, m.end() - 1)
+        k = m.end() - 1 + len(params)
+        while k < len(code) and code[k] not in ";{":
+            k += 1
+        if k < len(code) and code[k] == "{":
+            spans.append((k, k + len(extract_brace_block(code, k))))
+    return spans
+
+
+def check_wire_resolution(src: Path) -> list[str]:
+    """R13: src/sim/ quantizes telemetry rows only in FleetSim::handle_device_flush."""
+    problems = []
+    d = src / "sim"
+    if not d.is_dir():
+        return problems
+    for f in sorted(list(d.rglob("*.cpp")) + list(d.rglob("*.hpp"))):
+        code = strip_comments_and_strings(f.read_text())
+        homes = definition_spans(code, QUANTIZE_HOME)
+        for call in QUANTIZE_CALL.finditer(code):
+            if any(start < call.start() < end for start, end in homes):
+                continue
+            lineno = code.count("\n", 0, call.start()) + 1
+            problems.append(
+                f"{f.relative_to(src.parent)}:{lineno}: R13 quantize outside "
+                f"FleetSim::handle_device_flush — a telemetry window is quantized "
+                f"once, where the device tier returns it (DESIGN.md §15)"
+            )
+    return problems
+
+
 def check_pragma_once(src: Path) -> list[str]:
     """R5: every header uses #pragma once."""
     problems = []
@@ -668,6 +712,29 @@ def self_test() -> int:
           "for_each_index_in_blocks(n, [&](std::size_t d) { rows[d].push_back(1.0); });\n"},
          check_worker_allocation, scope="src")
 
+    case("R13-flag", True,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::handle_device_flush(const Event& event) {\n"
+          "  tdf::quantize(out.rows, bits);\n}\n"
+          "void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {\n"
+          "  if (on) {\n    tdf::quantize(chunk.rows, bits);\n  }\n}\n"},
+         check_wire_resolution, scope="src")
+    case("R13-flag-value", True,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::store(net::NodeId device, Buffer&& chunk) {\n"
+          "  for (double& o : chunk.origin_s) o = tdf::quantize_value(o, bits);\n}\n"},
+         check_wire_resolution, scope="src")
+    case("R13-clean", False,
+         {"src/sim/fleet.cpp":
+          "void handle_device_flush(const Event& event);\n"
+          "void FleetSim::handle_device_flush(const Event& event) {\n"
+          "  if (on) {\n    tdf::quantize(out.rows, bits);\n"
+          "    t = tdf::quantize_value(event.time_s, bits);\n  }\n}\n"
+          "void FleetSim::send() {\n  // tdf::quantize(chunk.rows, bits) happened at the flush\n}\n",
+          "src/tdf/codec.cpp":
+          "void quantize(Dataset& ds, int bits) { v = tdf::quantize_value(v, bits); }\n"},
+         check_wire_resolution, scope="src")
+
     if failures:
         for f in failures:
             print(f"self-test FAIL {f}")
@@ -704,6 +771,7 @@ def main() -> int:
     problems += check_stage_accounting(src)
     problems += check_single_ledger(src)
     problems += check_worker_allocation(src)
+    problems += check_wire_resolution(src)
 
     if problems:
         for p in problems:
@@ -713,7 +781,7 @@ def main() -> int:
     print("lint_invariants: clean (R1 preconditions, R2 throws, R3 cycles, R4 rng, "
           "R5 pragma, R6 timing, R7 serialization casts, R8 transport, "
           "R9 float equality, R10 stage accounting, R11 single ledger, "
-          "R12 worker allocation)")
+          "R12 worker allocation, R13 wire resolution)")
     return 0
 
 
